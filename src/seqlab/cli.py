@@ -12,39 +12,17 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 
 from . import adic, generators, maxorder, measures, numtheory, relations
 from .config import oracle_bound
-from .errors import (
-    BoundExceeded,
-    InvalidParameter,
-    MissingParameter,
-    ParseError,
-    SeqLabError,
-)
+from .errors import BoundExceeded, InvalidParameter, ParseError, SeqLabError
 from .generators import PolySpec, SeqSpec
 from .seqcore import write_bits
 
 # ---------------------------------------------------------------------------
 # sequence spec grammar: NAME(:key=value(,key=value)*)?(@poly=EXPR)?
-
-_ALLOWED_KEYS = {
-    "zero": frozenset(),
-    "ones": frozenset(),
-    "thue-morse": frozenset(),
-    "pattern": frozenset({"k"}),
-    "rudin-shapiro": frozenset(),
-    "zeckendorf": frozenset(),
-    "legendre": frozenset({"p", "f"}),
-    "ell": frozenset({"q", "A"}),
-    "lfsr": frozenset({"taps", "seed"}),
-    "file": frozenset({"path"}),
-}
-
-_INT_KEYS = frozenset({"k", "p", "q", "A"})
-_LIST_KEYS = frozenset({"taps", "seed"})
+# Families, their keys and the kinds of their values: generators.FAMILIES.
 
 
 def parse_poly(text: str, offset: int = 0) -> PolySpec:
@@ -99,21 +77,19 @@ def parse_poly(text: str, offset: int = 0) -> PolySpec:
     return PolySpec(tuple(coeffs.get(e, 0) for e in range(degree + 1)))
 
 
-def _parse_value(key: str, value: str, full: str, pos: int):
-    if key in _INT_KEYS:
+def _parse_value(kind: str | None, key: str, value: str, full: str, pos: int):
+    if kind == "poly":
+        return parse_poly(value, pos)
+    if kind == "int":
         if not value.isdigit():
             raise ParseError(full, pos, f"{key} must be a nonnegative integer")
         return int(value)
-    if key in _LIST_KEYS:
-        out = []
-        for part in value.split("."):
-            if not part.isdigit():
-                raise ParseError(full, pos, f"{key} must be dot-separated integers")
-            out.append(int(part))
-        return tuple(out)
-    if key == "f":
-        return parse_poly(value, pos)
-    return value  # path
+    if kind == "list":
+        parts = value.split(".")
+        if not all(part.isdigit() for part in parts):
+            raise ParseError(full, pos, f"{key} must be dot-separated integers")
+        return tuple(map(int, parts))
+    return value  # a path, or a key the family does not take: SeqSpec rejects it
 
 
 def parse_seqspec(text: str) -> SeqSpec:
@@ -130,7 +106,8 @@ def parse_seqspec(text: str) -> SeqSpec:
         poly = parse_poly(text[at + 6 :], at + 6)
     colon = body.find(":")
     name = body if colon == -1 else body[:colon]
-    if name not in generators.FAMILIES:
+    family = generators.FAMILIES.get(name)
+    if family is None:
         raise ParseError(text, 0, f"unknown family {name!r}")
     params: list[tuple[str, object]] = []
     if colon != -1:
@@ -143,61 +120,11 @@ def parse_seqspec(text: str) -> SeqSpec:
             if eq <= 0:
                 raise ParseError(text, pos, "expected key=value")
             key, value = item[:eq], item[eq + 1 :]
-            if key not in _ALLOWED_KEYS[name]:
-                raise InvalidParameter(f"family {name!r} does not take {key}=")
             if not value:
                 raise ParseError(text, pos + eq + 1, f"empty value for {key}")
-            params.append((key, _parse_value(key, value, text, pos + eq + 1)))
+            params.append((key, _parse_value(family.keys.get(key), key, value, text, pos + eq + 1)))
             pos += len(item) + 1
-    spec = SeqSpec(name, tuple(params), poly)
-    _validate_spec(spec)
-    return spec
-
-
-def _require(spec: SeqSpec, key: str):
-    value = spec.param(key)
-    if value is None:
-        raise MissingParameter(f"family {spec.family!r} needs {key}=")
-    return value
-
-
-def _validate_spec(spec: SeqSpec) -> None:
-    """Family-specific parameter checks, before any computation."""
-    fam = spec.family
-    if fam == "pattern":
-        k = _require(spec, "k")
-        if k < 1:
-            raise InvalidParameter(f"k must be positive, got {k}")
-    elif fam == "legendre":
-        p = _require(spec, "p")
-        if p == 2 or not numtheory.is_prime(p):
-            raise InvalidParameter(f"p must be an odd prime, got {p}")
-        f = spec.param("f", generators.IDENTITY)
-        if all(c % p == 0 for c in f.coefficients):
-            raise InvalidParameter(f"f vanishes identically mod {p}")
-    elif fam == "ell":
-        q = _require(spec, "q")
-        a = _require(spec, "A")
-        if q < 3 or q % 2 == 0:
-            raise InvalidParameter(f"q must be odd and at least 3, got {q}")
-        if not 0 < a < q:
-            raise InvalidParameter(f"A must lie in (0, q), got {a}")
-        if math.gcd(a, q) != 1:
-            raise InvalidParameter(f"A and q must be coprime, got gcd={math.gcd(a, q)}")
-    elif fam == "lfsr":
-        taps = _require(spec, "taps")
-        seed = _require(spec, "seed")
-        r = len(seed)
-        if any(b not in (0, 1) for b in seed):
-            raise InvalidParameter("seed must be bits")
-        if not any(seed):
-            raise InvalidParameter("seed must not be all zero")
-        if not taps or any(not 0 <= t < r for t in taps):
-            raise InvalidParameter(f"taps must lie in [0, {r})")
-        if len(set(taps)) != len(taps):
-            raise InvalidParameter("duplicate tap")
-    elif fam == "file":
-        _require(spec, "path")
+    return SeqSpec(name, tuple(params), poly)
 
 
 # ---------------------------------------------------------------------------
@@ -305,31 +232,22 @@ def _periodic_text(spec: SeqSpec, fmt: str) -> str:
 # ---------------------------------------------------------------------------
 # verify
 
-_T_CLAIMS = {"thm2": 10, "lemma1": 8, "thm6": 12}
-
-
 def _verify_reports(claim: str, t_max: int | None, n_max: int | None):
+    given = {"--exhaustive-T": t_max, "--nmax": n_max}
     if claim == "all":
         if t_max is not None or n_max is not None:
             raise InvalidParameter("claim 'all' runs every suite at its defaults")
         return relations.run_all()
-    if claim in _T_CLAIMS:
-        if n_max is not None:
-            raise InvalidParameter(f"--nmax does not apply to {claim}")
-        bound = t_max if t_max is not None else _T_CLAIMS[claim]
-        suite = {
-            "thm2": relations.thm2_suite,
-            "lemma1": relations.lemma1_suite,
-            "thm6": relations.thm6_suite,
-        }[claim]
-        return suite(bound)
-    if t_max is not None:
-        raise InvalidParameter(f"--exhaustive-T does not apply to {claim}")
-    if claim == "lowerbound":
-        return relations.lowerbound_suite(n_max if n_max is not None else 2000)
-    if n_max is not None:
-        raise InvalidParameter(f"--nmax does not apply to {claim}")
-    return relations.CLAIMS[claim]()
+    flag = relations.CLAIM_SUITES[claim].flag
+    for name, value in given.items():
+        if value is not None and name != flag:
+            raise InvalidParameter(f"{name} does not apply to {claim}")
+    return relations.run_claim(claim, given.get(flag))
+
+
+def _flag_help(flag: str, what: str) -> str:
+    rows = [(c, r) for c, r in relations.CLAIM_SUITES.items() if r.flag == flag]
+    return f"{what} for " + ", ".join(f"{c} (default {r.default}, max {r.maximum or 'none'})" for c, r in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a claim verifier suite")
     p.add_argument("claim", choices=tuple(sorted(relations.CLAIMS)) + ("all",))
-    p.add_argument("--exhaustive-T", dest="exhaustive_t", type=int, help="period bound for thm2/lemma1/thm6")
-    p.add_argument("--nmax", type=int, help="length bound for lowerbound")
+    p.add_argument("--exhaustive-T", dest="exhaustive_t", type=int, help=_flag_help("--exhaustive-T", "period bound"))
+    p.add_argument("--nmax", type=int, help=_flag_help("--nmax", "length bound"))
     add_common(p)
 
     p = sub.add_parser("tables", help="recompute a reference table and diff it")
@@ -434,6 +352,8 @@ def _dispatch(args) -> int:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # exact integers print at any size
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)

@@ -5,11 +5,15 @@ class SeqLabError(Exception):
     """Base class for all seqlab errors."""
 
 
+class InvalidParameter(SeqLabError, ValueError):
+    """A parameter has an illegal value."""
+
+
 class NonInvertible(SeqLabError):
     """Modular inverse requested for an element with no inverse."""
 
 
-class NotCoprime(SeqLabError):
+class NotCoprime(InvalidParameter):
     """Arguments required to be coprime are not."""
 
 
@@ -17,7 +21,7 @@ class TooLarge(SeqLabError):
     """Input exceeds the documented exact-arithmetic bound."""
 
 
-class NotOddPrime(SeqLabError):
+class NotOddPrime(InvalidParameter):
     """Modulus must be an odd prime."""
 
 
@@ -25,11 +29,11 @@ class NotEllModulus(SeqLabError):
     """Modulus is not an odd prime power with 2 as a primitive root."""
 
 
-class EvenModulus(SeqLabError):
+class EvenModulus(InvalidParameter):
     """Connection-style modulus must be odd."""
 
 
-class ZeroSeed(SeqLabError):
+class ZeroSeed(InvalidParameter):
     """Shift-register seed must not be all zero."""
 
 
@@ -75,7 +79,3 @@ class ParseError(SeqLabError):
 
 class MissingParameter(SeqLabError):
     """Sequence spec omits a required parameter."""
-
-
-class InvalidParameter(SeqLabError):
-    """Sequence spec parameter has an illegal value."""

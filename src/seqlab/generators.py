@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import (
@@ -16,7 +17,7 @@ from .errors import (
     TooShort,
     ZeroSeed,
 )
-from .numtheory import is_prime, legendre_symbol, multiplicative_order
+from .numtheory import is_prime, multiplicative_order
 from .seqcore import PeriodicSequence, Word, least_period, read_bits
 
 
@@ -73,8 +74,7 @@ def pattern_bit(k: int, n: int) -> int:
     gives the parity of the bit count (Thue-Morse), k = 2 the Rudin-Shapiro
     coefficient parity.
     """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
+    _check_pattern_args(k)
     if n < 0:
         raise NegativeValue(n, n)
     m = n
@@ -82,6 +82,11 @@ def pattern_bit(k: int, n: int) -> int:
         m &= n >> j
     # Each surviving bit marks a position where k consecutive bits are 1.
     return m.bit_count() & 1
+
+
+def _check_pattern_args(k: int) -> None:
+    if k < 1:
+        raise InvalidParameter(f"need k >= 1, got {k}")
 
 
 def pattern_word(k: int, n: int) -> Word:
@@ -150,16 +155,19 @@ def legendre_word(p: int, f: PolySpec, n: int) -> Word:
     """Bits of the quadratic-residue indicator of f along 0..n-1 mod p.
 
     Bit i is 1 exactly when f(i) is a nonzero square mod p; multiples of p
-    (symbol 0) give bit 0.
+    (symbol 0) give bit 0. p is tested for primality once; each bit is then
+    Euler's criterion.
     """
+    _check_legendre_args(p, f)
+    e = (p - 1) // 2
+    return Word(bytes(1 if pow(f(i) % p, e, p) == 1 else 0 for i in range(n)))
+
+
+def _check_legendre_args(p: int, f: PolySpec) -> None:
     if p == 2 or not is_prime(p):
         raise NotOddPrime(f"{p} is not an odd prime")
     if all(c % p == 0 for c in f.coefficients):
-        raise ValueError(f"f vanishes identically mod {p}")
-    out = bytearray()
-    for i in range(n):
-        out.append(1 if legendre_symbol(f(i) % p, p) == 1 else 0)
-    return Word(bytes(out))
+        raise InvalidParameter(f"f vanishes identically mod {p}")
 
 
 def legendre_period(p: int, f: PolySpec) -> PeriodicSequence:
@@ -182,21 +190,25 @@ def fcsr_word(a: int, q: int) -> PeriodicSequence:
     -a/q, so connection() inverts this construction exactly.
     """
     _check_fcsr_args(a, q)
-    T = multiplicative_order(2, q)
+    return PeriodicSequence(_fcsr_prefix(a, q, multiplicative_order(2, q)), least=True)
+
+
+def _fcsr_prefix(a: int, q: int, n: int) -> Word:
+    """First n bits of the carry-register sequence, one state step per bit."""
     inv2 = (q + 1) // 2
     bits = bytearray()
     cur = a
-    for _ in range(T):
+    for _ in range(n):
         bits.append(cur & 1)
         cur = cur * inv2 % q
-    return PeriodicSequence(Word(bytes(bits)), least=True)
+    return Word(bytes(bits))
 
 
 def _check_fcsr_args(a: int, q: int) -> None:
     if q < 3 or q % 2 == 0:
         raise EvenModulus(f"need odd q >= 3, got {q}")
     if not 0 < a < q:
-        raise ValueError(f"need 0 < a < q, got a = {a}")
+        raise InvalidParameter(f"need 0 < a < q, got a = {a}")
     if math.gcd(a, q) != 1:
         raise NotCoprime(f"gcd({a}, {q}) != 1")
 
@@ -207,17 +219,7 @@ def lfsr_word(taps: tuple[int, ...], seed: tuple[int, ...], n: int) -> Word:
     r is the seed length; taps are positions in [0, r). The first r output
     bits are the seed itself.
     """
-    r = len(seed)
-    if r == 0:
-        raise ValueError("empty seed")
-    if any(b not in (0, 1) for b in seed):
-        raise ValueError("seed must be bits")
-    if not all(0 <= t < r for t in taps):
-        raise ValueError(f"taps must lie in [0, {r})")
-    if len(set(taps)) != len(taps):
-        raise ValueError("duplicate tap")
-    if not any(seed):
-        raise ZeroSeed("all-zero seed generates the zero sequence")
+    _check_lfsr_args(taps, seed)
     state = list(seed)
     out = bytearray()
     for _ in range(n):
@@ -229,6 +231,20 @@ def lfsr_word(taps: tuple[int, ...], seed: tuple[int, ...], n: int) -> Word:
     return Word(bytes(out))
 
 
+def _check_lfsr_args(taps: tuple[int, ...], seed: tuple[int, ...]) -> None:
+    r = len(seed)
+    if r == 0:
+        raise InvalidParameter("empty seed")
+    if any(b not in (0, 1) for b in seed):
+        raise InvalidParameter("seed must be bits")
+    if not all(0 <= t < r for t in taps):
+        raise InvalidParameter(f"taps must lie in [0, {r})")
+    if len(set(taps)) != len(taps):
+        raise InvalidParameter("duplicate tap")
+    if not any(seed):
+        raise ZeroSeed("all-zero seed generates the zero sequence")
+
+
 def lfsr_period(taps: tuple[int, ...], seed: tuple[int, ...]) -> PeriodicSequence:
     """One least period of the register output, found from the state cycle.
 
@@ -238,8 +254,8 @@ def lfsr_period(taps: tuple[int, ...], seed: tuple[int, ...]) -> PeriodicSequenc
     """
     if 0 not in taps:
         raise InvalidParameter("tap 0 is required for a pure state cycle")
+    _check_lfsr_args(taps, seed)
     r = len(seed)
-    lfsr_word(taps, seed, 0)  # validates taps and seed
     state = tuple(seed)
     out = bytearray()
     steps = 0
@@ -256,31 +272,85 @@ def lfsr_period(taps: tuple[int, ...], seed: tuple[int, ...]) -> PeriodicSequenc
     return PeriodicSequence(Word(bytes(out)), least=True)
 
 
-FAMILIES = frozenset(
-    {
-        "zero",
-        "ones",
-        "thue-morse",
-        "pattern",
-        "rudin-shapiro",
-        "zeckendorf",
-        "legendre",
-        "ell",
-        "lfsr",
-        "file",
-    }
-)
+def _file_prefix(path: str, n: int) -> Word:
+    w = read_bits(path)
+    if len(w) < n:
+        raise TooShort(f"file holds {len(w)} bits, need {n}")
+    return w[:n]
 
-# Families whose bit function is indexed by n and may be composed with a
-# polynomial subsequence; the rest are registers or external data.
-_INDEXED = frozenset({"zero", "ones", "thue-morse", "pattern", "rudin-shapiro", "zeckendorf"})
 
-_PATTERN_ORDER = {"thue-morse": 1, "rudin-shapiro": 2}
+@dataclass(frozen=True)
+class Family:
+    """One row of the family table.
+
+    keys maps each parameter to the kind of its value (see _KINDS); every
+    key is required but those given in defaults. The callables take the
+    parameters as keyword arguments, defaults filled in. check validates
+    them, once, when a SeqSpec is built. An indexed family gives bit(...),
+    its bit as a function of the index, and only indexed families take
+    @poly=; any other family gives prefix(n, ...), the first n bits.
+    period(...) is one least period, for families that have one.
+    """
+
+    keys: dict = field(default_factory=dict)
+    defaults: dict = field(default_factory=dict)
+    check: Callable[..., None] | None = None
+    bit: Callable[..., Callable[[int], int]] | None = None
+    prefix: Callable[..., Word] | None = None
+    period: Callable[..., PeriodicSequence] | None = None
+
+
+def _constant(b: int) -> Family:
+    return Family(bit=lambda: lambda m: b, period=lambda: PeriodicSequence(Word([b]), least=True))
+
+
+# The sequence families, each declared once: the spec grammar, validation,
+# materialize and periodic_sequence all read this table.
+FAMILIES = {
+    "zero": _constant(0),
+    "ones": _constant(1),
+    "thue-morse": Family(bit=lambda: functools.partial(pattern_bit, 1)),
+    "pattern": Family(
+        {"k": "int"},
+        check=_check_pattern_args,
+        bit=lambda k: functools.partial(pattern_bit, k),
+    ),
+    "rudin-shapiro": Family(bit=lambda: functools.partial(pattern_bit, 2)),
+    "zeckendorf": Family(bit=lambda: zeckendorf_bit),
+    "legendre": Family(
+        {"p": "int", "f": "poly"},
+        {"f": IDENTITY},
+        check=_check_legendre_args,
+        prefix=lambda n, p, f: legendre_word(p, f, n),
+        period=legendre_period,
+    ),
+    "ell": Family(
+        {"q": "int", "A": "int"},
+        check=lambda A, q: _check_fcsr_args(A, q),
+        prefix=lambda n, A, q: _fcsr_prefix(A, q, n),
+        period=lambda A, q: fcsr_word(A, q),
+    ),
+    "lfsr": Family(
+        {"taps": "list", "seed": "list"},
+        check=_check_lfsr_args,
+        prefix=lambda n, taps, seed: lfsr_word(taps, seed, n),
+        period=lfsr_period,
+    ),
+    "file": Family(
+        {"path": "path"},
+        prefix=lambda n, path: _file_prefix(path, n),
+        period=lambda path: least_period(read_bits(path)),
+    ),
+}
+
+# Value kinds of spec parameters: the type a value must have. "list" is a
+# tuple of ints, dot-separated in spec text.
+_KINDS = {"int": int, "list": tuple, "poly": PolySpec, "path": str}
 
 
 @dataclass(frozen=True)
 class SeqSpec:
-    """A named sequence family plus its parameters.
+    """A named sequence family plus its parameters, validated on creation.
 
     params is a tuple of (key, value) pairs; values are ints, index tuples,
     paths, or PolySpec. poly, when present, selects the subsequence along
@@ -292,9 +362,10 @@ class SeqSpec:
     poly: PolySpec | None = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        fam = FAMILIES.get(self.family)
+        if fam is None:
             raise InvalidParameter(f"unknown family {self.family!r}")
-        if self.poly is not None and self.family not in _INDEXED:
+        if self.poly is not None and fam.bit is None:
             raise InvalidParameter(f"family {self.family!r} does not take a poly suffix")
         keys = [k for k, _ in self.params]
         if len(set(keys)) != len(keys):
@@ -302,6 +373,23 @@ class SeqSpec:
         ordered = tuple(sorted(self.params))
         if ordered != self.params:
             object.__setattr__(self, "params", ordered)
+        for key, value in ordered:
+            if key not in fam.keys:
+                raise InvalidParameter(f"family {self.family!r} does not take {key}=")
+            kind = fam.keys[key]
+            if not isinstance(value, _KINDS[kind]) or (
+                kind == "list" and not all(isinstance(b, int) for b in value)
+            ):
+                raise InvalidParameter(f"{key} must be of kind {kind}, got {value!r}")
+        for key in fam.keys:
+            if key not in keys and key not in fam.defaults:
+                raise MissingParameter(f"family {self.family!r} needs {key}=")
+        if fam.check is not None:
+            fam.check(**self._values())
+
+    def _values(self) -> dict:
+        """Every parameter by name, defaults filled in."""
+        return {**FAMILIES[self.family].defaults, **dict(self.params)}
 
     def param(self, key: str, default=None):
         for k, v in self.params:
@@ -325,91 +413,23 @@ class SeqSpec:
         return out
 
 
-def _int_param(spec: SeqSpec, key: str) -> int:
-    v = spec.param(key)
-    if v is None:
-        raise MissingParameter(f"family {spec.family!r} needs {key}=")
-    if not isinstance(v, int):
-        raise InvalidParameter(f"{key} must be an integer, got {v!r}")
-    return v
-
-
-def _pattern_order(spec: SeqSpec) -> int:
-    k = spec.param("k", _PATTERN_ORDER.get(spec.family))
-    if k is None:
-        raise MissingParameter("pattern needs k=")
-    if not isinstance(k, int) or k < 1:
-        raise InvalidParameter(f"k must be a positive integer, got {k!r}")
-    return k
-
-
 def materialize(spec: SeqSpec, n: int) -> Word:
     """First n bits of the specified sequence."""
     if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    fam = spec.family
-    if fam in ("zero", "ones"):
-        bit = 0 if fam == "zero" else 1
-        if spec.poly is not None:
-            return along_polynomial(lambda m: bit, spec.poly, n)
-        return Word(bytes([bit]) * n)
-    if fam in ("thue-morse", "rudin-shapiro", "pattern"):
-        k = _pattern_order(spec)
-        if spec.poly is not None:
-            return along_polynomial(lambda m: pattern_bit(k, m), spec.poly, n)
-        return pattern_word(k, n)
-    if fam == "zeckendorf":
-        if spec.poly is not None:
-            return along_polynomial(zeckendorf_bit, spec.poly, n)
-        return zeckendorf_word(n)
-    if fam == "legendre":
-        f = spec.param("f", IDENTITY)
-        if not isinstance(f, PolySpec):
-            raise InvalidParameter(f"f must be a polynomial, got {f!r}")
-        return legendre_word(_int_param(spec, "p"), f, n)
-    if fam == "ell":
-        return fcsr_word(_int_param(spec, "A"), _int_param(spec, "q")).prefix(n)
-    if fam == "lfsr":
-        return lfsr_word(_index_tuple(spec, "taps"), _index_tuple(spec, "seed"), n)
-    w = read_bits(_path_param(spec))
-    if len(w) < n:
-        raise TooShort(f"file holds {len(w)} bits, need {n}")
-    return w[:n]
+        raise InvalidParameter(f"need n >= 0, got {n}")
+    fam = FAMILIES[spec.family]
+    if fam.bit is None:
+        return fam.prefix(n, **spec._values())
+    bit = fam.bit(**spec._values())
+    if spec.poly is None:
+        return Word(bytes(map(bit, range(n))))
+    return along_polynomial(bit, spec.poly, n)
 
 
 def periodic_sequence(spec: SeqSpec) -> PeriodicSequence:
-    """The specified sequence as a least-period word; only register, residue
-    and file families have one."""
-    fam = spec.family
-    if fam in ("zero", "ones"):
-        return PeriodicSequence(Word([0 if fam == "zero" else 1]), least=True)
-    if fam == "legendre":
-        f = spec.param("f", IDENTITY)
-        if not isinstance(f, PolySpec):
-            raise InvalidParameter(f"f must be a polynomial, got {f!r}")
-        return legendre_period(_int_param(spec, "p"), f)
-    if fam == "ell":
-        return fcsr_word(_int_param(spec, "A"), _int_param(spec, "q"))
-    if fam == "lfsr":
-        return lfsr_period(_index_tuple(spec, "taps"), _index_tuple(spec, "seed"))
-    if fam == "file":
-        return least_period(read_bits(_path_param(spec)))
-    raise InvalidParameter(f"family {fam!r} has no finite period")
-
-
-def _index_tuple(spec: SeqSpec, key: str) -> tuple[int, ...]:
-    v = spec.param(key)
-    if v is None:
-        raise MissingParameter(f"lfsr needs {key}=")
-    if not (isinstance(v, tuple) and all(isinstance(b, int) for b in v)):
-        raise InvalidParameter(f"{key} must be a dot-separated integer list, got {v!r}")
-    return v
-
-
-def _path_param(spec: SeqSpec) -> str:
-    v = spec.param("path")
-    if v is None:
-        raise MissingParameter("file needs path=")
-    if not isinstance(v, str):
-        raise InvalidParameter(f"path must be a string, got {v!r}")
-    return v
+    """The specified sequence as a least-period word; only constant,
+    register, residue and file families have one."""
+    period = FAMILIES[spec.family].period
+    if period is None:
+        raise InvalidParameter(f"family {spec.family!r} has no finite period")
+    return period(**spec._values())

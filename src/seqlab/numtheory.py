@@ -198,15 +198,7 @@ def ceil_log2(n: int) -> int:
 
 
 def int_log2(n: int) -> float:
-    """float log2 of a positive integer of any size.
-
-    math.log2 overflows beyond 2^1023; route big inputs through a 64-bit
-    mantissa, which keeps ~15 significant digits.
-    """
+    """float log2 of a positive integer of any size (math.log2 takes big ints)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    bits = n.bit_length()
-    if bits <= 512:
-        return math.log2(n)
-    shift = bits - 64
-    return shift + math.log2(n >> shift)
+    return math.log2(n)

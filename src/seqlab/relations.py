@@ -14,10 +14,11 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from typing import Callable
 
 from . import adic, generators, maxorder, measures, numtheory
 from .config import oracle_bound
-from .errors import BoundExceeded
+from .errors import BoundExceeded, InvalidParameter
 from .seqcore import PeriodicSequence, Word, least_period
 
 PASS = "pass"
@@ -46,10 +47,6 @@ class VerificationReport:
         return self.status != FAIL
 
 
-def _word01(w: Word) -> str:
-    return w.to01()
-
-
 # ---------------------------------------------------------------------------
 # aperiodic relations
 
@@ -73,7 +70,7 @@ def verify_thm1(w: Word, instance: str | None = None) -> VerificationReport:
                 "thm1",
                 instance,
                 FAIL,
-                {"N": n, "moc": m, "mu": mu, "bound": cap, "word": _word01(w[:n])},
+                {"N": n, "moc": m, "mu": mu, "bound": cap, "word": w[:n].to01()},
             )
         if tight is None or cap - m < tight[0]:
             tight = (cap - m, n, m, mu)
@@ -103,7 +100,7 @@ def verify_cor1(w: Word, instance: str | None = None) -> VerificationReport:
     evidence = {"N": n, "c2": c2, "mu": mu, "ceil_log2_mu": cap - 1, "rhs": rhs}
     if lhs >= rhs:
         return VerificationReport("cor1", instance, PASS, evidence)
-    evidence["word"] = _word01(w)
+    evidence["word"] = w.to01()
     return VerificationReport("cor1", instance, FAIL, evidence)
 
 
@@ -117,7 +114,7 @@ LEMMA1_T_BOUND = 64
 def verify_thm2(s: PeriodicSequence, instance: str | None = None) -> VerificationReport:
     """Periodic window complexity is at most ceil(log2 q)."""
     s = s.normalized()
-    instance = instance or f"period {_word01(s.word)}"
+    instance = instance or f"period {s.word.to01()}"
     m = maxorder.moc_periodic(s)
     q = adic.connection(s).q
     cap = numtheory.ceil_log2(q)
@@ -134,7 +131,7 @@ def verify_lemma1(s: PeriodicSequence, instance: str | None = None) -> Verificat
     short of q.
     """
     s = s.normalized()
-    instance = instance or f"period {_word01(s.word)}"
+    instance = instance or f"period {s.word.to01()}"
     T = s.T
     if T > LEMMA1_T_BOUND:
         raise BoundExceeded(f"T = {T} > lemma1 bound {LEMMA1_T_BOUND}")
@@ -254,6 +251,9 @@ def lemma3_scan(k_max: int) -> VerificationReport:
 # The closing example: M = T - 2 does not force a maximal connection integer.
 THM6_EXAMPLE = ("00100100", 6, 85)
 
+# Largest period the exhaustive thm6 check accepts: 2^T words per T.
+THM6_T_MAX = 14
+
 
 def verify_thm6(T: int) -> VerificationReport:
     """Every least-period-T word with M = T - 1 has q = 2^T - 1.
@@ -261,8 +261,8 @@ def verify_thm6(T: int) -> VerificationReport:
     Exhaustive over all 2^T phase words. At T = 8 the report also rechecks
     the near-extremal example with M = T - 2 and q = 85 < 255.
     """
-    if not 2 <= T <= 14:
-        raise BoundExceeded(f"need 2 <= T <= 14, got {T}")
+    if not 2 <= T <= THM6_T_MAX:
+        raise BoundExceeded(f"need 2 <= T <= {THM6_T_MAX}, got {T}")
     full = (1 << T) - 1
     extremal = 0
     for v in range(1 << T):
@@ -279,7 +279,7 @@ def verify_thm6(T: int) -> VerificationReport:
                 "thm6",
                 f"T={T}",
                 FAIL,
-                {"T": T, "word": _word01(s.word), "q": q, "expected_q": full},
+                {"T": T, "word": s.word.to01(), "q": q, "expected_q": full},
             )
     evidence: dict = {"T": T, "extremal_words": extremal, "q": full}
     if T == 8:
@@ -373,16 +373,16 @@ LOWERBOUND_FAMILIES = {
 }
 
 
-def verify_lowerbound(family: str, n_max: int = 2000) -> VerificationReport:
+def verify_lowerbound(family: str, n_max: int) -> VerificationReport:
     """ceil(log2 mu(N)) >= M(N) - 1 > N/d - 1 for every N in range.
 
     Exact integer comparisons: the second leg is checked as d*M > N.
     """
     if family not in LOWERBOUND_FAMILIES:
-        raise ValueError(f"no proved bound for {family!r}")
+        raise InvalidParameter(f"no proved bound for {family!r}")
     start, d = LOWERBOUND_FAMILIES[family]
     if n_max < start:
-        raise ValueError(f"need n_max >= {start}")
+        raise InvalidParameter(f"need n_max >= {start} for {family}, got {n_max}")
     w = generators.materialize(generators.SeqSpec(family), n_max)
     instance = f"{family} {start}<=N<={n_max}"
     mprof = maxorder.moc_profile(w)
@@ -516,7 +516,7 @@ def _least_period_words(T: int):
             yield s
 
 
-def thm2_suite(t_max: int = 10):
+def thm2_suite(t_max: int):
     """Exhaustive over every period length up to t_max, one report per T."""
     reports = []
     for T in range(1, t_max + 1):
@@ -533,7 +533,7 @@ def thm2_suite(t_max: int = 10):
                     "thm2",
                     f"exhaustive T={T}",
                     FAIL,
-                    {"word": _word01(s.word), "moc": m, "q": q, "ceil_log2_q": cap},
+                    {"word": s.word.to01(), "moc": m, "q": q, "ceil_log2_q": cap},
                 )
                 break
             if tight is None or cap - m < tight:
@@ -550,7 +550,7 @@ def thm2_suite(t_max: int = 10):
     return reports
 
 
-def lemma1_suite(t_max: int = 8):
+def lemma1_suite(t_max: int):
     """The recorded gap instance first, then exhaustive periods up to t_max."""
     reports = [verify_lemma1(PeriodicSequence.from_word(Word.from01("01001")))]
     for T in range(1, t_max + 1):
@@ -585,7 +585,7 @@ def thm5_suite(q_max: int = 10_000):
     return [verify_thm5(q) for q in maxorder.ell_moduli(q_max)]
 
 
-def thm6_suite(t_max: int = 12):
+def thm6_suite(t_max: int):
     return [verify_thm6(T) for T in range(2, t_max + 1)]
 
 
@@ -593,30 +593,61 @@ def msequence_suite(r_max: int = 8):
     return [verify_msequence(r) for r in range(1, r_max + 1)]
 
 
-def lowerbound_suite(n_max: int = 2000):
+def lowerbound_suite(n_max: int):
     return [verify_lowerbound(f, n_max) for f in sorted(LOWERBOUND_FAMILIES)]
 
 
-# Claim registry in report order. Values: zero-argument default suite.
-CLAIMS = {
-    "cor1": cor1_suite,
-    "lemma1": lemma1_suite,
-    "lemma3": lambda: [lemma3_scan(30)],
-    "lowerbound": lowerbound_suite,
-    "msequence": msequence_suite,
-    "thm1": thm1_suite,
-    "thm2": thm2_suite,
-    "thm4": thm4_suite,
-    "thm5": thm5_suite,
-    "thm6": thm6_suite,
+@dataclass(frozen=True)
+class ClaimSuite:
+    """One row of the claim table: a claim's suite and how it is sized.
+
+    A suite with a flag takes one bound: default when none is given, never
+    above maximum (None: no cap). A suite without a flag takes no argument.
+    """
+
+    suite: Callable[..., list[VerificationReport]]
+    flag: str | None = None
+    default: int | None = None
+    maximum: int | None = None
+
+
+# Every claim, each declared once, in report order. Each step of T about
+# doubles the thm2 and lemma1 suites; their caps keep one run to minutes.
+CLAIM_SUITES = {
+    "cor1": ClaimSuite(cor1_suite),
+    "lemma1": ClaimSuite(lemma1_suite, "--exhaustive-T", 8, 16),
+    "lemma3": ClaimSuite(lambda: [lemma3_scan(30)]),
+    "lowerbound": ClaimSuite(lowerbound_suite, "--nmax", 2000),
+    "msequence": ClaimSuite(msequence_suite),
+    "thm1": ClaimSuite(thm1_suite),
+    "thm2": ClaimSuite(thm2_suite, "--exhaustive-T", 10, 20),
+    "thm4": ClaimSuite(thm4_suite),
+    "thm5": ClaimSuite(thm5_suite),
+    "thm6": ClaimSuite(thm6_suite, "--exhaustive-T", 12, THM6_T_MAX),
 }
+
+# Claim id -> suite. run_claim calls every suite through this dict, so one
+# entry swaps a suite everywhere.
+CLAIMS = {claim: row.suite for claim, row in CLAIM_SUITES.items()}
+
+
+def run_claim(claim: str, bound: int | None = None) -> list[VerificationReport]:
+    """One claim's suite at bound, or at its default; the cap is checked
+    before the suite starts."""
+    row = CLAIM_SUITES[claim]
+    if row.flag is None:
+        return CLAIMS[claim]()
+    bound = row.default if bound is None else bound
+    if row.maximum is not None and bound > row.maximum:
+        raise BoundExceeded(f"{claim}: {row.flag} {bound} exceeds its maximum {row.maximum}")
+    return CLAIMS[claim](bound)
 
 
 def run_all() -> list[VerificationReport]:
-    """Every registered claim suite, in claim-id order."""
+    """Every registered claim suite at its default, in claim-id order."""
     reports = []
     for claim in sorted(CLAIMS):
-        reports.extend(CLAIMS[claim]())
+        reports.extend(run_claim(claim))
     return reports
 
 
@@ -652,9 +683,9 @@ class ScanReport:
 def grid_points(n_max: int, ratio: float = 1.3) -> list[int]:
     """Every length up to 64, then geometric steps, always ending at n_max."""
     if n_max < 2:
-        raise ValueError(f"need n_max >= 2, got {n_max}")
+        raise InvalidParameter(f"need n_max >= 2, got {n_max}")
     if ratio <= 1.0:
-        raise ValueError(f"need ratio > 1, got {ratio}")
+        raise InvalidParameter(f"need ratio > 1, got {ratio}")
     pts = list(range(2, min(n_max, 64) + 1))
     cur = pts[-1]
     while cur < n_max:
@@ -674,12 +705,12 @@ def conjecture_scan(
     arbitrary default; status reports the outcome and asserts nothing.
     """
     if c <= 0:
-        raise ValueError(f"need c > 0, got {c}")
+        raise InvalidParameter(f"need c > 0, got {c}")
+    grid = grid_points(n_max, ratio)
     cap = None
     if spec.family == "legendre":
         cap = adic.phi2(generators.periodic_sequence(spec)).log2
     w = generators.materialize(spec, n_max)
-    grid = grid_points(n_max, ratio)
     pairs = adic.adic_minima(w, grid)
     points = []
     for n, pair in zip(grid, pairs):

@@ -3,6 +3,7 @@
 import io
 import json
 import contextlib
+import time
 
 import pytest
 
@@ -10,7 +11,7 @@ import seqlab.relations as relations
 from seqlab.adic import adic_min
 from seqlab.cli import main, parse_poly, parse_seqspec
 from seqlab.errors import InvalidParameter, MissingParameter, ParseError
-from seqlab.generators import PolySpec, SeqSpec
+from seqlab.generators import PolySpec, SeqSpec, fcsr_bit
 from seqlab.maxorder import moc_profile
 from seqlab.measures import linear_profile
 from seqlab.relations import VerificationReport
@@ -193,6 +194,23 @@ def test_verify_flag_scoping():
     assert code == 0
 
 
+def test_verify_bounds_above_maximum_exit_before_running(monkeypatch):
+    def never(*_):
+        raise AssertionError("suite ran despite an out-of-range bound")
+
+    for claim, t in (("thm6", 15), ("thm2", 21), ("lemma1", 17)):
+        monkeypatch.setitem(relations.CLAIMS, claim, never)
+        code, out, err = run(["verify", claim, "--exhaustive-T", str(t)])
+        assert code == 2 and out == "", claim
+        assert err.startswith("error:") and "maximum" in err, claim
+
+
+def test_verify_lowerbound_short_nmax_exits_2():
+    code, out, err = run(["verify", "lowerbound", "--nmax", "3"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_verify_unknown_claim():
     code, _, _ = run(["verify", "thm9"])
     assert code == 2
@@ -224,6 +242,35 @@ def test_scan_output_and_tolerance():
     code, out, _ = run(["scan", "--seq", "thue-morse", "--nmax", "48", "--c", "0.01"])
     assert code == 0
     assert "# status=fail" in out
+
+
+def test_scan_bad_arguments_exit_2():
+    for extra in (["--nmax", "1"], ["--nmax", "48", "--grid-ratio", "1"], ["--nmax", "48", "--c", "0"]):
+        code, out, err = run(["scan", "--seq", "thue-morse", *extra])
+        assert code == 2 and out == "", extra
+        assert err.startswith("error:") and "Traceback" not in err, extra
+
+
+def test_periodic_prints_integers_of_any_size():
+    # r = 14 m-sequence, x^14 + x^10 + x^6 + x + 1: q = 2^16383 - 1 has
+    # about 4932 decimal digits.
+    seed = ".".join(["1"] + ["0"] * 13)
+    code, out, _ = run(["periodic", "--seq", f"lfsr:taps=0.1.6.10,seed={seed}"])
+    assert code == 0
+    T, A, q, phi, sym, M, L = out.splitlines()[1].split(",")
+    assert int(T) == 2**14 - 1
+    assert int(q) == 2**16383 - 1
+    assert int(L) == 14
+
+
+def test_generate_ell_streams_a_short_prefix():
+    # The period of 2 mod 10^9 + 7 is 5 * 10^8 bits; eight bits need none of it.
+    q = 1_000_000_007
+    t = time.perf_counter()
+    code, out, _ = run(["generate", "--seq", f"ell:q={q},A=1", "--n", "8"])
+    assert code == 0
+    assert time.perf_counter() - t < 5.0
+    assert out.strip() == "".join(str(fcsr_bit(1, q, i)) for i in range(8))
 
 
 def test_outputs_byte_identical():

@@ -5,11 +5,14 @@ import random
 
 import pytest
 
+import seqlab.generators as generators
 from seqlab.errors import (
     EvenModulus,
     InvalidParameter,
+    MissingParameter,
     NegativeValue,
     NotCoprime,
+    NotOddPrime,
     TooShort,
     ZeroSeed,
 )
@@ -34,7 +37,7 @@ from seqlab.generators import (
     zeckendorf_digits,
     zeckendorf_word,
 )
-from seqlab.numtheory import legendre_symbol, multiplicative_order
+from seqlab.numtheory import is_prime, legendre_symbol, multiplicative_order
 from seqlab.seqcore import Word, write_bits
 
 
@@ -147,6 +150,21 @@ def test_legendre_word_character_convention():
             assert w[n] == expected, (p, n)
 
 
+def test_legendre_word_tests_primality_once(monkeypatch):
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(generators, "is_prime", counting)
+    for p, f in ((7, IDENTITY), (19, PolySpec((1, 0, 1))), (101, PolySpec((3, 2, 0, 5)))):
+        calls.clear()
+        w = legendre_word(p, f, 3 * p)
+        assert calls == [p]
+        assert list(w) == [1 if legendre_symbol(f(i), p) == 1 else 0 for i in range(3 * p)], (p, f)
+
+
 def test_legendre_period():
     s = legendre_period(19, IDENTITY)
     assert s.T == 19
@@ -187,6 +205,14 @@ def test_fcsr_fixed_periods():
         s = fcsr_word(a, q)
         assert s.word.to01() == bits
         assert s.T == T == multiplicative_order(2, q)
+
+
+def test_ell_prefix_streams_past_the_period():
+    for a, q in ((3, 31), (37, 127), (173, 255), (1, 1019)):
+        s = fcsr_word(a, q)
+        n = 2 * s.T + 3
+        spec = SeqSpec("ell", params=(("A", a), ("q", q)))
+        assert materialize(spec, n).to01() == s.prefix(n).to01(), (a, q)
 
 
 def test_fcsr_argument_checks():
@@ -243,6 +269,32 @@ def test_seqspec_validation():
     assert spec.text() == "ell:A=5,q=31"
     assert spec.param("q") == 31
     assert spec.param("missing", 7) == 7
+
+
+def test_seqspec_rejects_with_the_library_classes():
+    # One validator: a spec raises what the generator itself raises, and
+    # every such class is an InvalidParameter and a ValueError.
+    cases = [
+        (EvenModulus, "ell", (("A", 3), ("q", 10))),
+        (NotCoprime, "ell", (("A", 3), ("q", 9))),
+        (InvalidParameter, "ell", (("A", 31), ("q", 31))),
+        (NotOddPrime, "legendre", (("p", 21),)),
+        (InvalidParameter, "legendre", (("f", PolySpec((0, 5))), ("p", 5))),
+        (ZeroSeed, "lfsr", (("seed", (0, 0, 0)), ("taps", (0, 1)))),
+        (InvalidParameter, "lfsr", (("seed", (1, 0, 0)), ("taps", (0, 5)))),
+        (InvalidParameter, "pattern", (("k", 0),)),
+        (InvalidParameter, "pattern", (("k", "3"),)),
+        (InvalidParameter, "thue-morse", (("k", 2),)),
+    ]
+    for cls, family, params in cases:
+        with pytest.raises(cls) as info:
+            SeqSpec(family, params=params)
+        assert isinstance(info.value, InvalidParameter) and isinstance(info.value, ValueError)
+    for family in ("ell", "pattern", "file"):
+        with pytest.raises(MissingParameter):
+            SeqSpec(family)
+    with pytest.raises(InvalidParameter):
+        pattern_bit(0, 5)
 
 
 def test_materialize_families(tmp_path):

@@ -6,8 +6,12 @@ import random
 import pytest
 
 import seqlab.relations as relations
+from seqlab.adic import adic_min
+from seqlab.errors import BoundExceeded, InvalidParameter
 from seqlab.generators import SeqSpec, fcsr_word, legendre_period, IDENTITY
+from seqlab.maxorder import moc
 from seqlab.relations import (
+    CLAIM_SUITES,
     CLAIMS,
     conjecture_scan,
     cor1_suite,
@@ -19,6 +23,7 @@ from seqlab.relations import (
     reports_to_json,
     reproduce_table,
     run_all,
+    run_claim,
     scan_to_csv,
     scan_to_json,
     thm1_suite,
@@ -49,6 +54,17 @@ def test_verify_thm1_passes():
         rep = verify_thm1(w)
         assert rep.ok(), rep
         assert rep.evidence["tight_slack"] >= 0
+
+
+def test_thm1_bound_is_not_the_power_form():
+    # M <= ceil(log2 mu) + 1 holds with equality here, while mu >= 2^(M-1)
+    # would need mu >= 8.
+    w = Word.from01("010100")
+    assert moc(w).m == 4
+    assert adic_min(w, 6).mu == 7
+    rep = verify_thm1(w)
+    assert rep.ok()
+    assert (rep.evidence["tight_moc"], rep.evidence["tight_mu"], rep.evidence["tight_slack"]) == (4, 7, 0)
 
 
 def test_verify_thm1_fail_path(monkeypatch):
@@ -176,6 +192,8 @@ def test_verify_lowerbound():
     assert verify_lowerbound("rudin-shapiro", 300).ok()
     with pytest.raises(ValueError):
         verify_lowerbound("zeckendorf", 100)
+    with pytest.raises(InvalidParameter):
+        verify_lowerbound("thue-morse", 3)
 
 
 def test_verify_msequence():
@@ -234,6 +252,25 @@ def test_claims_registry_covers_run_all():
     assert all(r.status in ("pass", "skipped") for r in reports)
 
 
+def test_claim_table_drives_registry_and_caps(monkeypatch):
+    assert set(CLAIM_SUITES) == set(CLAIMS)
+    sized = {c: (r.flag, r.default, r.maximum) for c, r in CLAIM_SUITES.items() if r.flag}
+    assert sized == {
+        "lemma1": ("--exhaustive-T", 8, 16),
+        "lowerbound": ("--nmax", 2000, None),
+        "thm2": ("--exhaustive-T", 10, 20),
+        "thm6": ("--exhaustive-T", 12, relations.THM6_T_MAX),
+    }
+    calls = []
+    monkeypatch.setitem(CLAIMS, "thm2", lambda t: calls.append(t) or [])
+    run_claim("thm2")
+    run_claim("thm2", 20)
+    assert calls == [10, 20]
+    with pytest.raises(BoundExceeded):
+        run_claim("thm2", 21)
+    assert calls == [10, 20]
+
+
 def test_grid_points_shape():
     pts = grid_points(100)
     assert pts[:5] == [2, 3, 4, 5, 6]
@@ -244,6 +281,11 @@ def test_grid_points_shape():
     assert big[-1] == 5000
     for a, b in zip(big, big[1:]):
         assert b <= max(a + 1, math.ceil(a * 1.3))
+    for n_max, ratio in ((1, 1.3), (10, 1.0)):
+        with pytest.raises(InvalidParameter):
+            grid_points(n_max, ratio)
+    with pytest.raises(InvalidParameter):
+        conjecture_scan(SeqSpec("thue-morse"), 10, c=0)
 
 
 def test_conjecture_scan_families():
