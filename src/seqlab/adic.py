@@ -4,8 +4,12 @@ Periodic: the connection integer q of one period (gcd formula); the
 complexity is log2(q). Aperiodic: the exact minimum over odd q of
 max(|f|, |q|) subject to q * S = f (mod 2^N), where S is the base-2 value
 of the length-N prefix. The admissible pairs form a rank-2 lattice, so the
-minimum is found by basis reduction plus a bounded enumeration; an
-exhaustive oracle anchors exactness at small N.
+minimum is found from a reduced basis plus a bounded enumeration. At one
+length (adic_min, adic_minima) the basis comes from an extended Euclid on
+(2^N, S) stopped at the crossover, the 2-adic form of rational
+reconstruction; for every prefix (adic_profile) it is carried bit by bit
+with incremental lattice reduction. An exhaustive oracle anchors exactness
+at small N.
 """
 
 from __future__ import annotations
@@ -85,12 +89,12 @@ def phi2_symmetric(s: PeriodicSequence) -> AdicValue:
 
 
 class _Lattice:
-    """Incremental basis for {(f, q): f = q*S (mod 2^n)} as bits arrive.
+    """Reduced basis for {(f, q): f = q*S (mod 2^n)}, u the shorter vector.
 
+    Built either at one length by euclid() or bit by bit by push().
     Consuming one bit keeps the sublattice fixed by the new congruence: the
     parity of (f - q*S')/2^n splits the old basis, the determinant doubles,
-    and a Lagrange step re-reduces. Basis stays Euclid-reduced with u the
-    shorter vector.
+    and a Lagrange step re-reduces.
     """
 
     __slots__ = ("n", "s", "uf", "uq", "vf", "vq")
@@ -100,6 +104,26 @@ class _Lattice:
         self.s = 0
         self.uf, self.uq = 1, 0
         self.vf, self.vq = 0, 1
+
+    @classmethod
+    def euclid(cls, s: int, n: int) -> "_Lattice":
+        """Reduced basis at length n from S = s mod 2^n in one pass.
+
+        Rows (r, t) of the extended Euclid on (2^n, S) all satisfy
+        r = t*S (mod 2^n), and consecutive rows span the lattice. Past the
+        row where |r| first drops to |t| or below, the rows only grow, so
+        the two rows there are a basis close to reduced; one Lagrange
+        reduction finishes it.
+        """
+        lat = cls()
+        lat.n = n
+        lat.s = s
+        r0, t0, r1, t1 = 1 << n, 0, s, 1
+        while r1 > abs(t1):
+            k = r0 // r1
+            r0, t0, r1, t1 = r1, t1, r0 - k * r1, t0 - k * t1
+        lat._reduce(r0, t0, r1, t1)
+        return lat
 
     def push(self, bit: int) -> None:
         n = self.n
@@ -116,7 +140,13 @@ class _Lattice:
             if not ev:
                 raise AssertionError("index-2 step left both basis vectors inside")
             vf, vq = 2 * vf, 2 * vq
-        # Lagrange reduction; loop is O(1) amortized across pushes.
+        self.n = n + 1
+        self.s = s2
+        # O(1) Lagrange steps amortized across pushes.
+        self._reduce(uf, uq, vf, vq)
+
+    def _reduce(self, uf: int, uq: int, vf: int, vq: int) -> None:
+        """Store the Lagrange-reduced form of the basis (u, v)."""
         nu = uf * uf + uq * uq
         nv = vf * vf + vq * vq
         while True:
@@ -129,8 +159,6 @@ class _Lattice:
             vf -= r * uf
             vq -= r * uq
             nv = vf * vf + vq * vq
-        self.n = n + 1
-        self.s = s2
         self.uf, self.uq, self.vf, self.vq = uf, uq, vf, vq
 
     def minimize(self) -> ApproxPair:
@@ -212,31 +240,29 @@ def adic_min(w: Word, n: int) -> ApproxPair:
     """Exact aperiodic minimum for the length-n prefix of w."""
     if not 1 <= n <= len(w):
         raise ValueError(f"need 1 <= n <= {len(w)}, got {n}")
-    lat = _Lattice()
-    for bit in w[:n]:
-        lat.push(bit)
-    return lat.minimize()
+    return _Lattice.euclid(prefix_value(w, n), n).minimize()
 
 
 def adic_minima(w: Word, ns: list[int]) -> list[ApproxPair]:
-    """Minimizing pairs at several prefix lengths in one incremental pass;
-    ns must be strictly increasing."""
+    """Minimizing pairs at several prefix lengths; ns must be strictly
+    increasing.
+
+    S is read once at the largest length and masked for each point. Each
+    point runs its own extended Euclid on (2^n, S), about n^2 bit
+    operations whatever the other points are, which suits sparse grids
+    such as a scan's. Dense ns repeat that work at every length: for all
+    lengths of a random word this is about 3x slower than adic_profile at
+    N = 1000 and 5x at N = 2000, so callers that want every prefix should
+    use adic_profile, which carries one lattice bit by bit.
+    """
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("prefix lengths must be strictly increasing")
-    if ns and not 1 <= ns[0] <= ns[-1] <= len(w):
+    if not ns:
+        return []
+    if not 1 <= ns[0] <= ns[-1] <= len(w):
         raise ValueError(f"prefix lengths must lie in [1, {len(w)}]")
-    lat = _Lattice()
-    out = []
-    want = iter(ns)
-    nxt = next(want, None)
-    for i, bit in enumerate(w):
-        if nxt is None:
-            break
-        lat.push(bit)
-        if i + 1 == nxt:
-            out.append(lat.minimize())
-            nxt = next(want, None)
-    return out
+    s = prefix_value(w, ns[-1])
+    return [_Lattice.euclid(s & ((1 << n) - 1), n).minimize() for n in ns]
 
 
 def adic_profile(w: Word) -> Profile:

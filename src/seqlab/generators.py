@@ -77,6 +77,8 @@ def pattern_bit(k: int, n: int) -> int:
     _check_pattern_args(k)
     if n < 0:
         raise NegativeValue(n, n)
+    if k > n.bit_length():
+        return 0
     m = n
     for j in range(1, k):
         m &= n >> j

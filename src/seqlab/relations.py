@@ -709,8 +709,12 @@ def conjecture_scan(
     grid = grid_points(n_max, ratio)
     cap = None
     if spec.family == "legendre":
-        cap = adic.phi2(generators.periodic_sequence(spec)).log2
-    w = generators.materialize(spec, n_max)
+        # One period gives both the cap and the word.
+        per = generators.periodic_sequence(spec)
+        cap = adic.phi2(per).log2
+        w = per.prefix(n_max)
+    else:
+        w = generators.materialize(spec, n_max)
     pairs = adic.adic_minima(w, grid)
     points = []
     for n, pair in zip(grid, pairs):

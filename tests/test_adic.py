@@ -4,9 +4,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seqlab.adic import (
     AdicValue,
+    _Lattice,
     adic_min,
     adic_minima,
     adic_oracle,
@@ -16,7 +18,8 @@ from seqlab.adic import (
     phi2_symmetric,
 )
 from seqlab.errors import OracleBoundExceeded
-from seqlab.generators import fcsr_word
+from seqlab.generators import SeqSpec, fcsr_word
+from seqlab.relations import conjecture_scan
 from seqlab.seqcore import (
     PeriodicSequence,
     RationalRep,
@@ -83,6 +86,65 @@ def test_adic_minima_agrees_with_adic_min():
         adic_minima(w, [5, 5])
     with pytest.raises(ValueError):
         adic_minima(w, [7, 3])
+
+
+def pushed_pairs(w):
+    """Reference pairs at every prefix from the bit-by-bit lattice."""
+    lat = _Lattice()
+    out = []
+    for bit in w:
+        lat.push(bit)
+        out.append(lat.minimize())
+    return out
+
+
+def test_euclid_matches_pushed_lattice_exhaustive():
+    # The prefixes of the words of length 12 are all words up to length
+    # 12; the oracle sees each once, as the prefix of its zero extension.
+    ns = list(range(1, 13))
+    for v, w in enumerate(all_words(12)):
+        pairs = adic_minima(w, ns)
+        assert pairs == pushed_pairs(w), w.to01()
+        for n in ns:
+            if v < 1 << n:
+                assert pairs[n - 1] == adic_oracle(w, n), (w.to01(), n)
+
+
+def test_euclid_matches_pushed_lattice_random_long():
+    rng = random.Random(36)
+    for _ in range(12):
+        w = random_word(rng, rng.randrange(1, 3001))
+        ref = pushed_pairs(w)
+        ns = sorted(rng.sample(range(1, len(w) + 1), min(len(w), 8)))
+        assert adic_minima(w, ns) == [ref[n - 1] for n in ns]
+        for n in ns[-2:]:
+            assert adic_min(w, n) == ref[n - 1]
+            lat = _Lattice.euclid(prefix_value(w, n), n)
+            nu = lat.uf**2 + lat.uq**2
+            assert nu <= lat.vf**2 + lat.vq**2
+            assert abs(2 * (lat.uf * lat.vf + lat.uq * lat.vq)) <= nu
+            assert abs(lat.uf * lat.vq - lat.uq * lat.vf) == 1 << n
+
+
+def test_single_lengths_do_not_push(monkeypatch):
+    def refuse(self, bit):
+        raise AssertionError("push called")
+
+    monkeypatch.setattr(_Lattice, "push", refuse)
+    w = Word.from01("0100110101110001")
+    assert adic_min(w, 16).mu >= 1
+    assert [p.n for p in adic_minima(w, [3, 9, 16])] == [3, 9, 16]
+    assert conjecture_scan(SeqSpec("thue-morse"), 64).points[-1].n == 64
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=16), st.data())
+def test_adic_min_equals_oracle_property(bits, data):
+    w = Word(bytes(bits))
+    n = data.draw(st.integers(1, len(w)))
+    got = adic_min(w, n)
+    assert got == adic_oracle(w, n)
+    assert_admissible(w, n, got)
 
 
 def test_adic_profile_matches_min():

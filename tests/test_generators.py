@@ -63,6 +63,20 @@ def test_pattern_bit_matches_runlength_oracle():
             assert pattern_bit(k, n) == pattern_oracle(k, n), (k, n)
 
 
+def test_pattern_bit_past_bit_length():
+    def and_loop(k, n):
+        m = n
+        for j in range(1, k):
+            m &= n >> j
+        return m.bit_count() & 1
+
+    for k in range(1, 13):
+        for n in range(4096):
+            assert pattern_bit(k, n) == and_loop(k, n), (k, n)
+    for n in (0, 1, 4095, 2**64 - 1):
+        assert pattern_bit(10**9, n) == 0
+
+
 def test_pattern_bit_matches_stripping_recursion():
     # Independent recursion: p(n) = p(n >> 1) xor [low k bits all ones].
     for k in (1, 2, 3, 4):

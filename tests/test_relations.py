@@ -1,5 +1,6 @@
 """Claim verifiers: pass paths, forced-failure paths, determinism."""
 
+import hashlib
 import math
 import random
 
@@ -8,7 +9,7 @@ import pytest
 import seqlab.relations as relations
 from seqlab.adic import adic_min
 from seqlab.errors import BoundExceeded, InvalidParameter
-from seqlab.generators import SeqSpec, fcsr_word, legendre_period, IDENTITY
+from seqlab.generators import SeqSpec, PolySpec, fcsr_word, legendre_period, IDENTITY
 from seqlab.maxorder import moc
 from seqlab.relations import (
     CLAIM_SUITES,
@@ -304,6 +305,30 @@ def test_conjecture_scan_families():
     for p in leg.points:
         assert p.target == pytest.approx(min(p.n / 2, cap))
     assert leg.status == "pass"
+
+
+def test_conjecture_scan_builds_legendre_once(monkeypatch):
+    calls = []
+    real = relations.generators.legendre_word
+
+    def counting(p, f, n):
+        calls.append((p, n))
+        return real(p, f, n)
+
+    monkeypatch.setattr(relations.generators, "legendre_word", counting)
+    # SHA-256 of each scan's CSV as written before the scan built its word
+    # from the period; nmax > p takes the word past one period.
+    expected = {
+        (("p", 1009),): "54c4696b8ac21de02533a95bb5c020f490f2ec94b91471535353599e876cddca",
+        (("f", PolySpec((1, 0, 1))), ("p", 1009)): (
+            "a7b13a91b53496b1c3596b6fc8081945e5f8e1f7278283949af267842b6b71d4"
+        ),
+    }
+    for params, digest in expected.items():
+        calls.clear()
+        text = scan_to_csv(conjecture_scan(SeqSpec("legendre", params=params), 2500))
+        assert calls == [(1009, 1009)]
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, params
 
 
 def test_scan_target_uncapped_for_ell():
