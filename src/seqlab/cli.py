@@ -130,8 +130,8 @@ def parse_seqspec(text: str) -> SeqSpec:
 # ---------------------------------------------------------------------------
 # analyze
 
-_MEASURE_ORDER = ("moc", "adic", "linear", "correlation", "expansion")
-_MEASURE_COLUMNS = {
+# Measure -> its output columns, in canonical column order.
+_MEASURES = {
     "moc": ("moc",),
     "adic": ("mu", "log2_mu"),
     "linear": ("linear",),
@@ -143,17 +143,17 @@ _MEASURE_COLUMNS = {
 def _parse_measures(text: str) -> tuple[str, ...]:
     names = tuple(part.strip() for part in text.split(","))
     for name in names:
-        if name not in _MEASURE_ORDER:
+        if name not in _MEASURES:
             raise InvalidParameter(f"unknown measure {name!r}")
     # canonical column order regardless of how the list was written
-    return tuple(m for m in _MEASURE_ORDER if m in names)
+    return tuple(m for m in _MEASURES if m in names)
 
 
 def _analyze_rows(spec: SeqSpec, nmax: int, names: tuple[str, ...]):
     w = generators.materialize(spec, nmax)
     columns = ["N"]
     for name in names:
-        columns.extend(_MEASURE_COLUMNS[name])
+        columns.extend(_MEASURES[name])
     series: dict[str, list] = {}
     if "moc" in names:
         prof = maxorder.moc_profile(w)
@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="per-prefix profile of the chosen measures")
     add_common(p, seq=True)
     p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--measures", default="moc,adic,linear", help="comma list: moc,adic,linear,correlation,expansion")
+    p.add_argument("--measures", default="moc,adic,linear", help="comma list: " + ",".join(_MEASURES))
 
     p = sub.add_parser("periodic", help="one-line summary of a periodic sequence")
     add_common(p, seq=True)

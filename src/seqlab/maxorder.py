@@ -1,11 +1,13 @@
 """Maximum-order complexity: the shortest window length whose successor map
-is single-valued over the word, plus its number-theoretic shortcuts for
+is single-valued over the word, read from one suffix automaton (value,
+witness and per-prefix profile), plus its number-theoretic shortcuts for
 carry-register sequences."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .config import oracle_bound
 from .errors import NotCoprime, NotEllModulus, OracleBoundExceeded
@@ -37,8 +39,9 @@ class MocResult:
 class _Sam:
     """Suffix automaton over the binary alphabet.
 
-    end[state] records one position where the state's longest string ends,
-    which is all the witness extraction needs.
+    end[state] is the first position where the state's strings end (a clone
+    inherits it from the state it splits), which is all the witness and
+    profile readouts need.
     """
 
     __slots__ = ("next0", "next1", "link", "length", "end", "last")
@@ -51,38 +54,46 @@ class _Sam:
         self.end = [-1]
         self.last = 0
 
-    def _new(self, length: int, end: int) -> int:
-        self.next0.append(-1)
-        self.next1.append(-1)
-        self.link.append(-1)
-        self.length.append(length)
-        self.end.append(end)
-        return len(self.length) - 1
-
     def extend(self, c: int, pos: int) -> None:
-        nxt = self.next1 if c else self.next0
-        cur = self._new(self.length[self.last] + 1, pos)
+        # States are appended inline: this runs once per symbol of every word.
+        next0, next1, link, length, end = self.next0, self.next1, self.link, self.length, self.end
+        nxt = next1 if c else next0
         p = self.last
+        cur = self.last = len(length)
+        next0.append(-1)
+        next1.append(-1)
+        link.append(0)
+        length.append(length[p] + 1)
+        end.append(pos)
         while p != -1 and nxt[p] == -1:
             nxt[p] = cur
-            p = self.link[p]
+            p = link[p]
         if p == -1:
-            self.link[cur] = 0
-        else:
-            q = nxt[p]
-            if self.length[p] + 1 == self.length[q]:
-                self.link[cur] = q
-            else:
-                clone = self._new(self.length[p] + 1, self.end[q])
-                self.next0[clone] = self.next0[q]
-                self.next1[clone] = self.next1[q]
-                self.link[clone] = self.link[q]
-                self.link[q] = clone
-                self.link[cur] = clone
-                while p != -1 and nxt[p] == q:
-                    nxt[p] = clone
-                    p = self.link[p]
-        self.last = cur
+            return
+        q = nxt[p]
+        if length[p] + 1 == length[q]:
+            link[cur] = q
+            return
+        clone = len(length)
+        next0.append(next0[q])
+        next1.append(next1[q])
+        link.append(link[q])
+        length.append(length[p] + 1)
+        end.append(end[q])
+        link[q] = link[cur] = clone
+        while p != -1 and nxt[p] == q:
+            nxt[p] = clone
+            p = link[p]
+
+
+def _branching(w: Word) -> tuple[_Sam, list[int]]:
+    """Suffix automaton of w and its right-branching states (both transitions
+    set: their strings occur followed by 0 and by 1), ascending."""
+    sam = _Sam()
+    for pos, c in enumerate(w):
+        sam.extend(c, pos)
+    next0, next1 = sam.next0, sam.next1
+    return sam, [p for p in range(len(next0)) if next0[p] != -1 and next1[p] != -1]
 
 
 def moc(w: Word) -> MocResult:
@@ -92,49 +103,37 @@ def moc(w: Word) -> MocResult:
     valued; equivalently 1 plus the longest string that occurs followed by
     both symbols. Constant words (and the empty word) give 0.
     """
-    sam = _Sam()
-    for pos, c in enumerate(w):
-        sam.extend(c, pos)
-    best = -1
-    best_state = -1
-    next0, next1, length = sam.next0, sam.next1, sam.length
-    for p in range(len(length)):
-        if next0[p] != -1 and next1[p] != -1 and length[p] > best:
-            best = length[p]
-            best_state = p
-    if best_state == -1:
+    sam, states = _branching(w)
+    if not states:
         return MocResult(0, None)
+    length = sam.length
+    best_state = max(states, key=length.__getitem__)  # first state on ties
+    best = length[best_state]
     # The longest branching string ends where its children's occurrences end.
-    e0 = sam.end[next0[best_state]]
-    e1 = sam.end[next1[best_state]]
+    e0 = sam.end[sam.next0[best_state]]
+    e1 = sam.end[sam.next1[best_state]]
     i0, i1 = e0 - best, e1 - best
     return MocResult(best + 1, MocWitness(min(i0, i1), max(i0, i1), best))
 
 
 def moc_profile(w: Word) -> Profile:
-    """Per-prefix maximum-order complexity, computed online.
+    """Per-prefix maximum-order complexity, read from one automaton of w.
 
-    Appending a symbol can only raise the value via a conflict ending at the
-    new position: the longest suffix of the previous prefix that occurred
-    earlier followed by the other symbol. Suffix-link depths decrease, so the
-    first hit on the chain is the longest such suffix. Worst case O(N^2)
-    (constant words walk whole chains); near-linear on random-like input.
+    A right-branching state's longest string is followed by both symbols
+    from prefix length max(end[next0], end[next1]) + 1 on, as end holds
+    first end positions; any string followed by both symbols in a prefix is
+    a suffix of such a string with the same occurrences. So the profile is
+    the running maximum of length + 1 over those times. Linear in len(w).
     """
-    sam = _Sam()
-    values = []
-    m = 0
-    for idx, c in enumerate(w):
-        other = sam.next0 if c else sam.next1
-        link, length = sam.link, sam.length
-        p = sam.last
-        while p != -1 and length[p] + 1 > m:
-            if other[p] != -1:
-                m = length[p] + 1
-                break
-            p = link[p]
-        sam.extend(c, idx)
-        values.append(m)
-    return Profile(tuple(values))
+    sam, states = _branching(w)
+    next0, next1, length, end = sam.next0, sam.next1, sam.length, sam.end
+    # best[t]: largest value gained at prefix length t + 1
+    best = [0] * len(w)
+    for p in states:
+        t = max(end[next0[p]], end[next1[p]])
+        if length[p] >= best[t]:
+            best[t] = length[p] + 1
+    return Profile(tuple(accumulate(best, max)))
 
 
 def moc_oracle(w: Word) -> MocResult:
@@ -225,15 +224,19 @@ def moc_periodic(s: PeriodicSequence) -> int:
     return moc(s.prefix(2 * s.T - 1)).m
 
 
+# The ell moduli whose M is floor(log2 q) rather than ceil(log2 q).
+ELL_FLOOR_MODULI = (3, 5, 9)
+
+
 def moc_ell_formula(q: int) -> int:
     """Closed form for maximal-period carry-register sequences.
 
     Requires q to be an odd prime power with 2 primitive. The value is
-    floor(log2 q) for q in {3, 5, 9} and ceil(log2 q) otherwise.
+    floor(log2 q) for q in ELL_FLOOR_MODULI and ceil(log2 q) otherwise.
     """
     if is_odd_prime_power(q) is None or not is_two_primitive(q):
         raise NotEllModulus(f"{q} is not an odd prime power with 2 primitive")
-    if q in (3, 5, 9):
+    if q in ELL_FLOOR_MODULI:
         return q.bit_length() - 1
     return ceil_log2(q)
 

@@ -216,7 +216,7 @@ def verify_thm5(q: int) -> VerificationReport:
         "T": maxorder.ell_period(q),
         "formula": formula,
         "computed": computed,
-        "floor_case": q in (3, 5, 9),
+        "floor_case": q in maxorder.ELL_FLOOR_MODULI,
     }
     status = PASS if formula == computed else FAIL
     return VerificationReport("thm5", f"q={q}", status, evidence)
@@ -265,11 +265,7 @@ def verify_thm6(T: int) -> VerificationReport:
         raise BoundExceeded(f"need 2 <= T <= {THM6_T_MAX}, got {T}")
     full = (1 << T) - 1
     extremal = 0
-    for v in range(1 << T):
-        w = Word([(v >> i) & 1 for i in range(T)])
-        s = least_period(w)
-        if s.T != T:
-            continue
+    for s in _least_period_words(T):
         if maxorder.moc_periodic(s) != T - 1:
             continue
         extremal += 1
@@ -307,9 +303,6 @@ TABLE1_EXPECTED = (
     (6859, 6498, 13, 13),
 )
 
-# Rows where M lands on the floor rather than the ceiling of log2 q.
-TABLE1_FLOOR_ROWS = frozenset({3, 9, 5})
-
 TABLE2_EXPECTED = (
     (51, 8, 6, (4, 5)),
     (63, 6, 6, (3, 4, 5)),
@@ -337,7 +330,7 @@ def reproduce_table(which: int) -> list[VerificationReport]:
                 "ceil_log2_q": c,
                 "moc": m,
                 "expected": [want_t, want_c, want_m],
-                "floor_remark": q in TABLE1_FLOOR_ROWS,
+                "floor_remark": q in maxorder.ELL_FLOOR_MODULI,
             }
             status = PASS if (t, c, m) == (want_t, want_c, want_m) else FAIL
             reports.append(VerificationReport("table1", f"q={q}", status, evidence))
@@ -612,12 +605,14 @@ class ClaimSuite:
 
 
 # Every claim, each declared once, in report order. Each step of T about
-# doubles the thm2 and lemma1 suites; their caps keep one run to minutes.
+# doubles the thm2 and lemma1 suites, and each doubling of --nmax makes
+# lowerbound (its adic_profile) four to five times longer; the caps keep one
+# run to minutes.
 CLAIM_SUITES = {
     "cor1": ClaimSuite(cor1_suite),
     "lemma1": ClaimSuite(lemma1_suite, "--exhaustive-T", 8, 16),
     "lemma3": ClaimSuite(lambda: [lemma3_scan(30)]),
-    "lowerbound": ClaimSuite(lowerbound_suite, "--nmax", 2000),
+    "lowerbound": ClaimSuite(lowerbound_suite, "--nmax", 2000, 32000),
     "msequence": ClaimSuite(msequence_suite),
     "thm1": ClaimSuite(thm1_suite),
     "thm2": ClaimSuite(thm2_suite, "--exhaustive-T", 10, 20),

@@ -217,6 +217,15 @@ def test_phi2_symmetric():
         assert sym <= fwd + 1e-12
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=40), st.data())
+def test_phi2_shift_invariant_property(bits, data):
+    k = data.draw(st.integers(0, len(bits) - 1))
+    s = PeriodicSequence.from_word(Word(bytes(bits)))
+    shifted = PeriodicSequence.from_word(Word(bytes(bits[k:] + bits[:k])))
+    assert phi2(shifted) == phi2(s)
+
+
 def test_adic_value():
     assert AdicValue(22).log2 == pytest.approx(math.log2(22))
     assert AdicValue(22).ceil == 5

@@ -198,9 +198,15 @@ def test_verify_bounds_above_maximum_exit_before_running(monkeypatch):
     def never(*_):
         raise AssertionError("suite ran despite an out-of-range bound")
 
-    for claim, t in (("thm6", 15), ("thm2", 21), ("lemma1", 17)):
+    cases = (
+        ("thm6", "--exhaustive-T", 15),
+        ("thm2", "--exhaustive-T", 21),
+        ("lemma1", "--exhaustive-T", 17),
+        ("lowerbound", "--nmax", 32001),
+    )
+    for claim, flag, bound in cases:
         monkeypatch.setitem(relations.CLAIMS, claim, never)
-        code, out, err = run(["verify", claim, "--exhaustive-T", str(t)])
+        code, out, err = run(["verify", claim, flag, str(bound)])
         assert code == 2 and out == "", claim
         assert err.startswith("error:") and "maximum" in err, claim
 

@@ -81,6 +81,23 @@ def test_moc_profile_matches_prefixes():
             assert prof.at(n) == moc(Word(w.bits[:n])).m
 
 
+def test_moc_profile_matches_oracle_exhaustive():
+    # Each prefix of a word is a shorter word, already refereed by its length.
+    oracle = {}
+    for length in range(1, 13):
+        for w in all_words(length):
+            oracle[w.bits] = moc_oracle(w).m
+            want = tuple(oracle[w.bits[:n]] for n in range(1, length + 1))
+            assert moc_profile(w).values == want, w.to01()
+
+
+def test_moc_profile_long_constant_and_periodic():
+    n = 10**5
+    assert moc_profile(Word(bytes(n))).values == (0,) * n
+    # 001 repeated: the window 0 is followed by both symbols from N = 3 on.
+    assert moc_profile(Word((b"\0\0\1" * n)[:n])).values == (0, 0) + (2,) * (n - 2)
+
+
 def test_moc_profile_nondecreasing():
     rng = random.Random(23)
     for _ in range(20):

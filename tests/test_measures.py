@@ -4,10 +4,11 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seqlab.errors import BoundExceeded
 from seqlab.generators import fcsr_word, lfsr_period, thue_morse_word
-from seqlab.maxorder import moc
+from seqlab.maxorder import moc, moc_profile
 from seqlab.measures import (
     correlation2,
     correlation_k,
@@ -259,3 +260,19 @@ def test_expansion_linear_bound():
         assert m <= L
         if e is not None:
             assert e <= min(L + 1, n + 2 - L), (w.to01(), L, e)
+
+
+def test_moc_at_most_linear_exhaustive():
+    # Profiles cover every prefix, so the length-14 words reach every
+    # shorter word too.
+    for v in range(1 << 14):
+        w = Word(bytes((v >> i) & 1 for i in range(14)))
+        pairs = zip(moc_profile(w), linear_profile(w))
+        assert all(m <= L for m, L in pairs), w.to01()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=300))
+def test_moc_at_most_linear_property(bits):
+    w = Word(bytes(bits))
+    assert all(m <= L for m, L in zip(moc_profile(w), linear_profile(w)))

@@ -258,7 +258,7 @@ def test_claim_table_drives_registry_and_caps(monkeypatch):
     sized = {c: (r.flag, r.default, r.maximum) for c, r in CLAIM_SUITES.items() if r.flag}
     assert sized == {
         "lemma1": ("--exhaustive-T", 8, 16),
-        "lowerbound": ("--nmax", 2000, None),
+        "lowerbound": ("--nmax", 2000, 32000),
         "thm2": ("--exhaustive-T", 10, 20),
         "thm6": ("--exhaustive-T", 12, relations.THM6_T_MAX),
     }
