@@ -4,11 +4,13 @@ Periodic: the connection integer q of one period (gcd formula); the
 complexity is log2(q). Aperiodic: the exact minimum over odd q of
 max(|f|, |q|) subject to q * S = f (mod 2^N), where S is the base-2 value
 of the length-N prefix. The admissible pairs form a rank-2 lattice, so the
-minimum is found from a reduced basis plus a bounded enumeration. At one
-length (adic_min, adic_minima) the basis comes from an extended Euclid on
-(2^N, S) stopped at the crossover, the 2-adic form of rational
-reconstruction; for every prefix (adic_profile) it is carried bit by bit
-with incremental lattice reduction. An exhaustive oracle anchors exactness
+minimum is read from a reduced basis. At one length (adic_min,
+adic_minima) the basis comes from an extended Euclid on (2^N, S) stopped at
+the crossover, the 2-adic form of rational reconstruction, and a bounded
+enumeration yields the canonical tie-broken pair. For every prefix
+(adic_profile) the basis is carried bit by bit with its residues, updated
+by shift and add and kept reduced in the sup norm, so mu is read off a
+basis vector with no enumeration. An exhaustive oracle anchors exactness
 at small N.
 """
 
@@ -89,13 +91,8 @@ def phi2_symmetric(s: PeriodicSequence) -> AdicValue:
 
 
 class _Lattice:
-    """Reduced basis for {(f, q): f = q*S (mod 2^n)}, u the shorter vector.
-
-    Built either at one length by euclid() or bit by bit by push().
-    Consuming one bit keeps the sublattice fixed by the new congruence: the
-    parity of (f - q*S')/2^n splits the old basis, the determinant doubles,
-    and a Lagrange step re-reduces.
-    """
+    """Reduced basis for {(f, q): f = q*S (mod 2^n)}, u the shorter vector,
+    built at one length by euclid()."""
 
     __slots__ = ("n", "s", "uf", "uq", "vf", "vq")
 
@@ -124,26 +121,6 @@ class _Lattice:
             r0, t0, r1, t1 = r1, t1, r0 - k * r1, t0 - k * t1
         lat._reduce(r0, t0, r1, t1)
         return lat
-
-    def push(self, bit: int) -> None:
-        n = self.n
-        s2 = self.s | (bit << n)
-        uf, uq, vf, vq = self.uf, self.uq, self.vf, self.vq
-        eu = ((uf - uq * s2) >> n) & 1
-        ev = ((vf - vq * s2) >> n) & 1
-        if eu:
-            if ev:
-                uf, uq, vf, vq = uf - vf, uq - vq, 2 * vf, 2 * vq
-            else:
-                uf, uq, vf, vq = vf, vq, 2 * uf, 2 * uq
-        else:
-            if not ev:
-                raise AssertionError("index-2 step left both basis vectors inside")
-            vf, vq = 2 * vf, 2 * vq
-        self.n = n + 1
-        self.s = s2
-        # O(1) Lagrange steps amortized across pushes.
-        self._reduce(uf, uq, vf, vq)
 
     def _reduce(self, uf: int, uq: int, vf: int, vq: int) -> None:
         """Store the Lagrange-reduced form of the basis (u, v)."""
@@ -251,9 +228,9 @@ def adic_minima(w: Word, ns: list[int]) -> list[ApproxPair]:
     point runs its own extended Euclid on (2^n, S), about n^2 bit
     operations whatever the other points are, which suits sparse grids
     such as a scan's. Dense ns repeat that work at every length: for all
-    lengths of a random word this is about 3x slower than adic_profile at
-    N = 1000 and 5x at N = 2000, so callers that want every prefix should
-    use adic_profile, which carries one lattice bit by bit.
+    lengths of a random word this is about 16x slower than adic_profile at
+    N = 1000 and 33x at N = 2000, so callers that want only mu at every
+    prefix should use adic_profile, which carries one basis bit by bit.
     """
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("prefix lengths must be strictly increasing")
@@ -266,13 +243,83 @@ def adic_minima(w: Word, ns: list[int]) -> list[ApproxPair]:
 
 
 def adic_profile(w: Word) -> Profile:
-    """mu at every prefix length 1..len(w)."""
-    lat = _Lattice()
+    """mu at every prefix length 1..len(w).
+
+    Carries a basis u, v of {(f, q): f = q*S (mod 2^n)} with the exact
+    residues r = (f - q*S)/2^n of both vectors, so a new bit b costs
+    r -= q*b and a parity test, never a product with S (the shift-and-add
+    update of Klapper & Goresky's 2-adic rational approximation). The
+    parities pick the index-2 sublattice step, and the residues follow the
+    same map. A sup-norm Gauss reduction (Kaib & Schnorr) then keeps
+    |u| <= |v| <= |v + k*u| for every integer k, which in any norm makes
+    |u| and |v| the two successive minima. If uq is even, every odd-q
+    vector has an odd, hence nonzero, v-coefficient and is independent of
+    u, so mu = |u| when uq is odd and |v| otherwise. The final basis is
+    checked once: both vectors admissible, determinant 2^N, and reduced.
+    """
+    uf, uq, ru, nu = 1, 0, 1, 1
+    vf, vq, rv, nv = 0, 1, 0, 1
     values = []
     for bit in w:
-        lat.push(bit)
-        values.append(lat.minimize().mu)
+        if bit:
+            ru -= uq
+            rv -= vq
+        if ru & 1:
+            if rv & 1:
+                uf, uq, ru, vf, vq = uf - vf, uq - vq, (ru - rv) >> 1, vf << 1, vq << 1
+            else:
+                uf, uq, ru, vf, vq, rv = vf, vq, rv >> 1, uf << 1, uq << 1, ru
+        else:
+            if not rv & 1:
+                raise AssertionError("index-2 step left both basis vectors inside")
+            ru >>= 1
+            vf, vq = vf << 1, vq << 1
+        nu = max(abs(uf), abs(uq))
+        nv = max(abs(vf), abs(vq))
+        if nu > nv:
+            uf, uq, ru, nu, vf, vq, rv, nv = vf, vq, rv, nv, uf, uq, ru, nu
+        # Sup-norm Gauss reduction. x -> |v - x*u| is convex, so v is the
+        # shortest v + k*u once neither v - u nor v + u is shorter;
+        # otherwise step v toward the least one u at a time, and swap if v
+        # ends shorter than u. The index-2 step leaves the basis within a
+        # factor 2 of reduced, so the steps per bit stay few (three at most
+        # on every word tried).
+        while True:
+            if max(abs(vf - uf), abs(vq - uq)) < nv:
+                sf, sq, sr = uf, uq, ru
+            elif max(abs(vf + uf), abs(vq + uq)) < nv:
+                sf, sq, sr = -uf, -uq, -ru
+            else:
+                break
+            while True:
+                wf, wq = vf - sf, vq - sq
+                nw = max(abs(wf), abs(wq))
+                if nw >= nv:
+                    break
+                vf, vq, rv, nv = wf, wq, rv - sr, nw
+            if nv >= nu:
+                break
+            uf, uq, ru, nu, vf, vq, rv, nv = vf, vq, rv, nv, uf, uq, ru, nu
+        values.append(nu if uq & 1 else nv)
+    if values:
+        _check_profile_basis(w, uf, uq, vf, vq)
     return Profile(tuple(values))
+
+
+def _check_profile_basis(w: Word, uf: int, uq: int, vf: int, vq: int) -> None:
+    # One recheck per profile of the basis its last value was read from; a
+    # failure here is a bug.
+    n = len(w)
+    s = prefix_value(w, n)
+    f, q, of, oq = (uf, uq, vf, vq) if uq & 1 else (vf, vq, uf, uq)
+    if q < 0:
+        f, q = -f, -q
+    _checked_pair(f, q, n, s)
+    if (oq * s - of) % (1 << n) or abs(uf * vq - uq * vf) != 1 << n:
+        raise AssertionError(f"profile basis does not span the lattice at N = {n}")
+    nu, nv = max(abs(uf), abs(uq)), max(abs(vf), abs(vq))
+    if not nu <= nv <= min(max(abs(vf - uf), abs(vq - uq)), max(abs(vf + uf), abs(vq + uq))):
+        raise AssertionError(f"profile basis not sup-norm reduced at N = {n}")
 
 
 def adic_oracle(w: Word, n: int) -> ApproxPair:

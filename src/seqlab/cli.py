@@ -169,8 +169,8 @@ def _analyze_rows(spec: SeqSpec, nmax: int, names: tuple[str, ...]):
         bound = oracle_bound("corr")
         if nmax > bound:
             raise BoundExceeded(f"nmax = {nmax} > correlation bound {bound}")
-        # no pair of offsets fits in a length-1 window
-        series["corr2"] = [0 if n < 2 else measures.correlation2(w[:n])[0] for n in range(1, nmax + 1)]
+        prof = measures.correlation2_profile(w)
+        series["corr2"] = [prof.at(n) for n in range(1, nmax + 1)]
     if "expansion" in names:
         series["expansion"] = [measures.expansion_complexity(w, n) for n in range(1, nmax + 1)]
     rows = []

@@ -63,6 +63,40 @@ def correlation2(w: Word) -> tuple[int, CorrelationWitness]:
     return _correlation(w, 2)
 
 
+def correlation2_profile(w: Word) -> Profile:
+    """Order-2 correlation of every prefix, 0 at length 1, in one O(N^2) pass.
+
+    Each new bit s_n adds the term (-1)^(s_{n-l} + s_n) to the running sum
+    of every lag l <= n. A lag's largest |window sum| is the max minus the
+    min of its running sums (both from 0), so each lag keeps those two, and
+    the value at a prefix is the running max over lags. Equals
+    correlation2(w[:n])[0] for n >= 2.
+    """
+    bits = w.bits
+    acc = [0]  # per lag l, at index l; index 0 unused
+    hi = [0]
+    lo = [0]
+    best = 0
+    values = []
+    for n, bit in enumerate(bits):
+        for lag in range(1, n + 1):
+            a = acc[lag] + (-1 if bits[n - lag] ^ bit else 1)
+            acc[lag] = a
+            if a > hi[lag]:
+                hi[lag] = a
+            elif a < lo[lag]:
+                lo[lag] = a
+            else:
+                continue
+            if hi[lag] - lo[lag] > best:
+                best = hi[lag] - lo[lag]
+        values.append(best)
+        acc.append(0)
+        hi.append(0)
+        lo.append(0)
+    return Profile(tuple(values))
+
+
 def correlation_k(w: Word, k: int) -> tuple[int, CorrelationWitness]:
     """Order-k correlation over offset tuples d1 < ... < dk.
 

@@ -605,9 +605,9 @@ class ClaimSuite:
 
 
 # Every claim, each declared once, in report order. Each step of T about
-# doubles the thm2 and lemma1 suites, and each doubling of --nmax makes
-# lowerbound (its adic_profile) four to five times longer; the caps keep one
-# run to minutes.
+# doubles the thm2 and lemma1 suites; the caps keep one run to minutes.
+# lowerbound takes about 0.14 s at --nmax 8000, 0.4 s at 16000 and 1.1 s at
+# 32000 (2-core container), about 3x per doubling, far below its cap.
 CLAIM_SUITES = {
     "cor1": ClaimSuite(cor1_suite),
     "lemma1": ClaimSuite(lemma1_suite, "--exhaustive-T", 8, 16),

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import seqlab.adic as adic
 from seqlab.adic import (
     AdicValue,
     _Lattice,
@@ -88,12 +89,34 @@ def test_adic_minima_agrees_with_adic_min():
         adic_minima(w, [7, 3])
 
 
+def push(lat, bit):
+    """Consume one bit: the parity of (f - q*S')/2^n splits the old basis
+    into the index-2 sublattice fixed by the new congruence, and a Lagrange
+    step re-reduces. Multiplies q by S' on every bit; kept as the referee."""
+    n = lat.n
+    s2 = lat.s | (bit << n)
+    uf, uq, vf, vq = lat.uf, lat.uq, lat.vf, lat.vq
+    eu = ((uf - uq * s2) >> n) & 1
+    ev = ((vf - vq * s2) >> n) & 1
+    if eu:
+        if ev:
+            uf, uq, vf, vq = uf - vf, uq - vq, 2 * vf, 2 * vq
+        else:
+            uf, uq, vf, vq = vf, vq, 2 * uf, 2 * uq
+    else:
+        assert ev, "index-2 step left both basis vectors inside"
+        vf, vq = 2 * vf, 2 * vq
+    lat.n = n + 1
+    lat.s = s2
+    lat._reduce(uf, uq, vf, vq)
+
+
 def pushed_pairs(w):
     """Reference pairs at every prefix from the bit-by-bit lattice."""
     lat = _Lattice()
     out = []
     for bit in w:
-        lat.push(bit)
+        push(lat, bit)
         out.append(lat.minimize())
     return out
 
@@ -127,10 +150,10 @@ def test_euclid_matches_pushed_lattice_random_long():
 
 
 def test_single_lengths_do_not_push(monkeypatch):
-    def refuse(self, bit):
-        raise AssertionError("push called")
+    def refuse(w):
+        raise AssertionError("adic_profile called")
 
-    monkeypatch.setattr(_Lattice, "push", refuse)
+    monkeypatch.setattr(adic, "adic_profile", refuse)
     w = Word.from01("0100110101110001")
     assert adic_min(w, 16).mu >= 1
     assert [p.n for p in adic_minima(w, [3, 9, 16])] == [3, 9, 16]
@@ -153,6 +176,49 @@ def test_adic_profile_matches_min():
     prof = adic_profile(w)
     for n in range(1, 31):
         assert prof.at(n) == adic_min(w, n).mu
+
+
+def test_adic_profile_matches_pushed_lattice_exhaustive():
+    # Every prefix of every word of length 12 covers all words up to 12.
+    for v, w in enumerate(all_words(12)):
+        prof = adic_profile(w)
+        assert list(prof) == [p.mu for p in pushed_pairs(w)], w.to01()
+        for n in range(1, 13):
+            if v < 1 << n:
+                assert prof.at(n) == adic_oracle(w, n).mu, (w.to01(), n)
+
+
+def test_adic_profile_matches_pushed_lattice_random_long():
+    rng = random.Random(37)
+    for _ in range(12):
+        w = random_word(rng, rng.randrange(1, 3001))
+        assert list(adic_profile(w)) == [p.mu for p in pushed_pairs(w)], len(w)
+
+
+def test_adic_profile_structured_words():
+    for w in (Word(bytes(3000)), Word(bytes([1]) * 3000), Word(bytes(2999) + b"\x01")):
+        assert list(adic_profile(w)) == [p.mu for p in pushed_pairs(w)]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=16), st.data())
+def test_adic_profile_equals_oracle_property(bits, data):
+    w = Word(bytes(bits))
+    n = data.draw(st.integers(1, len(w)))
+    assert adic_profile(w).at(n) == adic_oracle(w, n).mu
+
+
+def test_adic_profile_final_basis_check(monkeypatch):
+    # The end-of-word recheck runs: a read vector made inadmissible raises.
+    real = adic._checked_pair
+
+    def shifted(f, q, n, s):
+        return real(f + 1, q, n, s)
+
+    monkeypatch.setattr(adic, "_checked_pair", shifted)
+    with pytest.raises(AssertionError):
+        adic_profile(Word.from01("0100110101110001"))
+    assert len(adic_profile(Word(b""))) == 0
 
 
 def test_counterexample_period_minima():

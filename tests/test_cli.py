@@ -1,8 +1,10 @@
 """Command-line surface: spec grammar, verbs, formats, exit codes."""
 
+import hashlib
 import io
 import json
 import contextlib
+import random
 import time
 
 import pytest
@@ -151,6 +153,26 @@ def test_analyze_json_and_measure_selection():
     assert [row[0] for row in payload["rows"]] == [1, 2, 3, 4, 5]
     code, _, err = run(["analyze", "--seq", "ones", "--nmax", "5", "--measures", "entropy"])
     assert code == 2 and "unknown measure" in err
+
+
+def test_analyze_csv_pinned(tmp_path, monkeypatch):
+    # SHA-256 of each CSV as written while adic_profile pushed a Euclidean
+    # lattice and corr2 ran correlation2 on every prefix.
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(50)
+    (tmp_path / "rand.bits").write_text("".join(str(rng.getrandbits(1)) for _ in range(200)) + "\n")
+    expected = {
+        ("--seq", "thue-morse", "--nmax", "3000"): (
+            "cd2d5da24e2d520892ed0b691dbe06e14ce9a67146d49d8580c4c7a01c3bd9cf"
+        ),
+        ("--seq", "file:path=rand.bits", "--nmax", "200", "--measures", "correlation"): (
+            "2bb49452940298c8b67aec4c1ad25a95bbb25ed20098c0ceeac95b61e3c39196"
+        ),
+    }
+    for args, digest in expected.items():
+        code, out, _ = run(["analyze", *args])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, args
 
 
 def test_periodic_row():

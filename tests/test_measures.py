@@ -11,6 +11,7 @@ from seqlab.generators import fcsr_word, lfsr_period, thue_morse_word
 from seqlab.maxorder import moc, moc_profile
 from seqlab.measures import (
     correlation2,
+    correlation2_profile,
     correlation_k,
     expansion_complexity,
     linear_complexity_periodic,
@@ -161,6 +162,24 @@ def test_correlation_frozen_values():
     value, witness = correlation_k(constant, 3)
     assert value == 8
     check_witness(list(constant), witness)
+
+
+def test_correlation2_profile_exhaustive():
+    # Every prefix of every word of length 11 covers all words up to 11.
+    for v in range(1 << 11):
+        w = Word(bytes((v >> i) & 1 for i in range(11)))
+        prof = correlation2_profile(w)
+        assert prof.at(1) == 0
+        for n in range(2, 12):
+            assert prof.at(n) == correlation2(w[:n])[0], (w.to01(), n)
+
+
+def test_correlation2_profile_random():
+    rng = random.Random(45)
+    for length in (2, 37, 128, 200, 256):
+        w = random_word(rng, length)
+        prof = correlation2_profile(w)
+        assert list(prof)[1:] == [correlation2(w[:n])[0] for n in range(2, len(w) + 1)]
 
 
 def test_correlation_order_bounds():
