@@ -25,15 +25,23 @@ from .seqcore import write_bits
 # Families, their keys and the kinds of their values: generators.FAMILIES.
 
 
-def parse_poly(text: str, offset: int = 0) -> PolySpec:
+def _is_digits(s: str) -> bool:
+    """True for a nonempty run of ASCII digits. str.isdigit alone also
+    accepts superscript and other non-ASCII digits, which int() refuses."""
+    return s.isascii() and s.isdigit()
+
+
+def parse_poly(text: str, pos: int = 0, end: int | None = None) -> PolySpec:
     """Univariate integer polynomial in n, e.g. "n^2" or "n^3+2*n".
 
-    offset shifts reported error positions into the surrounding spec string.
+    Parses text[pos:end]; a ParseError carries the whole text and the
+    position of the fault in it, so a polynomial inside a spec string is
+    reported against the spec.
     """
-    if not text:
-        raise ParseError(text, offset, "empty polynomial")
-    i = 0
-    end = len(text)
+    end = len(text) if end is None else end
+    if pos >= end:
+        raise ParseError(text, pos, "empty polynomial")
+    i = pos
     coeffs: dict[int, int] = {}
     while True:
         sign = 1
@@ -43,16 +51,16 @@ def parse_poly(text: str, offset: int = 0) -> PolySpec:
             i += 1
         start = i
         coeff = None
-        if i < end and text[i].isdigit():
+        if i < end and _is_digits(text[i]):
             j = i
-            while j < end and text[j].isdigit():
+            while j < end and _is_digits(text[j]):
                 j += 1
             coeff = int(text[i:j])
             i = j
             if i < end and text[i] == "*":
                 i += 1
                 if i >= end or text[i] != "n":
-                    raise ParseError(text, offset + i, "expected n after *")
+                    raise ParseError(text, i, "expected n after *")
         exp = 0
         if i < end and text[i] == "n":
             i += 1
@@ -60,33 +68,33 @@ def parse_poly(text: str, offset: int = 0) -> PolySpec:
             if i < end and text[i] == "^":
                 i += 1
                 j = i
-                while j < end and text[j].isdigit():
+                while j < end and _is_digits(text[j]):
                     j += 1
                 if j == i:
-                    raise ParseError(text, offset + i, "expected exponent digits")
+                    raise ParseError(text, i, "expected exponent digits")
                 exp = int(text[i:j])
                 i = j
         if coeff is None and exp == 0:
-            raise ParseError(text, offset + start, "expected a term")
+            raise ParseError(text, start, "expected a term")
         coeffs[exp] = coeffs.get(exp, 0) + sign * (1 if coeff is None else coeff)
         if i >= end:
             break
         if text[i] not in "+-":
-            raise ParseError(text, offset + i, f"unexpected {text[i]!r}")
+            raise ParseError(text, i, f"unexpected {text[i]!r}")
     degree = max(coeffs)
     return PolySpec(tuple(coeffs.get(e, 0) for e in range(degree + 1)))
 
 
 def _parse_value(kind: str | None, key: str, value: str, full: str, pos: int):
     if kind == "poly":
-        return parse_poly(value, pos)
+        return parse_poly(full, pos, pos + len(value))
     if kind == "int":
-        if not value.isdigit():
+        if not _is_digits(value):
             raise ParseError(full, pos, f"{key} must be a nonnegative integer")
         return int(value)
     if kind == "list":
         parts = value.split(".")
-        if not all(part.isdigit() for part in parts):
+        if not all(_is_digits(part) for part in parts):
             raise ParseError(full, pos, f"{key} must be dot-separated integers")
         return tuple(map(int, parts))
     return value  # a path, or a key the family does not take: SeqSpec rejects it
@@ -103,7 +111,7 @@ def parse_seqspec(text: str) -> SeqSpec:
         if not text[at:].startswith("@poly="):
             raise ParseError(text, at, "expected @poly=")
         body = text[:at]
-        poly = parse_poly(text[at + 6 :], at + 6)
+        poly = parse_poly(text, at + 6)
     colon = body.find(":")
     name = body if colon == -1 else body[:colon]
     family = generators.FAMILIES.get(name)
@@ -172,7 +180,8 @@ def _analyze_rows(spec: SeqSpec, nmax: int, names: tuple[str, ...]):
         prof = measures.correlation2_profile(w)
         series["corr2"] = [prof.at(n) for n in range(1, nmax + 1)]
     if "expansion" in names:
-        series["expansion"] = [measures.expansion_complexity(w, n) for n in range(1, nmax + 1)]
+        prof = measures.expansion_profile(w)
+        series["expansion"] = [prof.at(n) for n in range(1, nmax + 1)]
     rows = []
     for n in range(1, nmax + 1):
         row = [n]

@@ -9,10 +9,6 @@ class InvalidParameter(SeqLabError, ValueError):
     """A parameter has an illegal value."""
 
 
-class NonInvertible(SeqLabError):
-    """Modular inverse requested for an element with no inverse."""
-
-
 class NotCoprime(InvalidParameter):
     """Arguments required to be coprime are not."""
 

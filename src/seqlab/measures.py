@@ -1,5 +1,12 @@
 """Linear complexity, windowed correlation of order k, and the algebraic
-dependence degree of the generating function."""
+dependence degree of the generating function (expansion complexity).
+
+Each measure has a per-prefix profile computed in one pass over the word:
+Berlekamp-Massey for linear complexity, per-lag running sums for order-2
+correlation, and one F2 echelon over the monomial columns x^i y^j, fed one
+coefficient row per bit, for expansion complexity. The single-length
+functions stay for one N and serve as the tests' referees.
+"""
 
 from __future__ import annotations
 
@@ -194,6 +201,60 @@ def expansion_complexity(w: Word, n: int, d_max: int = 16) -> int | None:
             if not vec:
                 return d
     return None
+
+
+def expansion_profile(w: Word, d_max: int = 16) -> Profile:
+    """expansion_complexity(w, n, d_max) for every n in one pass.
+
+    Column d(d+1)/2 + j stands for the monomial x^(d-j) y^j, so columns run
+    by total degree d, then by j. Row n holds coefficient n of x^i G^j for
+    every column. That is coefficient n - 1 of x^(i-1) G^j, so row n is row
+    n - 1 with each degree block moved up one block, plus coefficient n of
+    each G^j in the columns x^0 y^j. Coefficient n of G^j is the parity of
+    the product of G^(j-1) with the reversed prefix, as in linear_profile.
+
+    Rows are kept in echelon form keyed by their lowest set column, so the
+    rank of any leading block of columns is its number of pivots, and E(n)
+    is the degree of the first column that is not a pivot. Once every column
+    is a pivot, E is None from then on. All-zero prefixes give 0.
+    """
+    if d_max < 1:
+        raise ValueError(f"need d_max >= 1, got {d_max}")
+    # (mask, shift) moving degree block d onto block d + 1; block d_max drops.
+    blocks = [(((1 << (d + 1)) - 1) << (d * (d + 1) // 2), d + 1) for d in range(d_max)]
+    degree = [d for d in range(d_max + 1) for _ in range(d + 1)]
+    full = (1 << len(degree)) - 1
+    powers = [1] + [0] * d_max  # bit k of powers[j]: coefficient of x^k in G^j
+    echelon: dict[int, int] = {}  # lowest set column bit -> row
+    pivots = 0
+    row = 0
+    srev = 0  # bit k = s_{n-k}
+    e = 0
+    values = []
+    for n, bit in enumerate(w.bits):
+        srev = (srev << 1) | bit
+        fresh = 1 if n == 0 else 0  # G^0 = 1 has coefficient 1 at x^0 only
+        for j in range(1, d_max + 1):
+            if (powers[j - 1] & srev).bit_count() & 1:
+                powers[j] |= 1 << n
+                fresh |= 1 << (j * (j + 3) // 2)  # column of x^0 y^j
+        for mask, shift in blocks:
+            fresh |= (row & mask) << shift
+        row = red = fresh
+        while red:
+            low = red & -red
+            other = echelon.get(low)
+            if other is None:
+                echelon[low] = red
+                pivots |= low
+                if pivots == full:
+                    values.extend([None] * (len(w) - n))
+                    return Profile(tuple(values))
+                e = degree[(~pivots & (pivots + 1)).bit_length() - 1]
+                break
+            red ^= other
+        values.append(e if srev else 0)
+    return Profile(tuple(values))
 
 
 def _gf2_mul_trunc(a: int, b: int, n: int) -> int:

@@ -1,4 +1,5 @@
-"""Exact integer number theory: gcds, orders, totients, symbols.
+"""Exact integer number theory: gcds, primality, factorization, orders,
+totients and exact base-2 logarithms.
 
 Everything here is deterministic. Primality uses the Miller-Rabin witness
 set that is proven exact for all n below 3.3 * 10^24, far beyond
@@ -8,7 +9,7 @@ exact division, so results are certificate-grade for any accepted input.
 
 import math
 
-from .errors import NonInvertible, NotCoprime, NotOddPrime, TooLarge
+from .errors import NotCoprime, TooLarge
 
 # Inputs at or above 2^64 are refused so every accepted value sits well
 # inside the proven-deterministic witness range.
@@ -35,16 +36,6 @@ def egcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_x, old_y = -old_r, -old_x, -old_y
     return old_r, old_x, old_y
-
-
-def mod_pow(base: int, exp: int, modulus: int) -> int:
-    """base**exp mod modulus; negative exponents use the modular inverse."""
-    if modulus <= 1:
-        raise ValueError(f"modulus must exceed 1, got {modulus}")
-    try:
-        return pow(base, exp, modulus)
-    except ValueError as e:
-        raise NonInvertible(f"{base} has no inverse mod {modulus}") from e
 
 
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
@@ -178,16 +169,6 @@ def is_odd_prime_power(q: int) -> tuple[int, int] | None:
     if len(fac) == 1:
         return fac[0]
     return None
-
-
-def legendre_symbol(a: int, p: int) -> int:
-    """Quadratic residue symbol in {-1, 0, +1} via Euler's criterion."""
-    if p == 2 or not is_prime(p):
-        raise NotOddPrime(f"{p} is not an odd prime")
-    r = pow(a % p, (p - 1) // 2, p)
-    if r == p - 1:
-        return -1
-    return r  # 0 or 1
 
 
 def ceil_log2(n: int) -> int:

@@ -8,12 +8,13 @@ import random
 import time
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import seqlab.relations as relations
 from seqlab.adic import adic_min
 from seqlab.cli import main, parse_poly, parse_seqspec
 from seqlab.errors import InvalidParameter, MissingParameter, ParseError
-from seqlab.generators import PolySpec, SeqSpec, fcsr_bit
+from seqlab.generators import FAMILIES, PolySpec, SeqSpec, fcsr_bit
 from seqlab.maxorder import moc_profile
 from seqlab.measures import linear_profile
 from seqlab.relations import VerificationReport
@@ -99,6 +100,98 @@ def test_parse_seqspec_rejections():
         parse_seqspec("file")
 
 
+_POLYS = st.lists(st.integers(-30, 30), min_size=1, max_size=5).map(lambda c: PolySpec(tuple(c)))
+
+# Parameters of each family, by key. Draws may break a family's own checks
+# (a composite p, a q not coprime to A); specs() discards those.
+_PARAMS = {
+    "zero": {},
+    "ones": {},
+    "thue-morse": {},
+    "rudin-shapiro": {},
+    "zeckendorf": {},
+    "pattern": {"k": st.integers(1, 10**6)},
+    "legendre": {"p": st.integers(3, 200), "f": _POLYS},
+    "ell": {"q": st.integers(3, 10**4), "A": st.integers(1, 10**4)},
+    "lfsr": {
+        "taps": st.lists(st.integers(0, 7), min_size=1, max_size=8, unique=True).map(tuple),
+        "seed": st.lists(st.integers(0, 1), min_size=8, max_size=8).map(tuple),
+    },
+    "file": {"path": st.text("abcxyz0123456789_./-", min_size=1, max_size=12)},
+}
+
+
+@st.composite
+def specs(draw):
+    family = draw(st.sampled_from(sorted(FAMILIES)))
+    params = []
+    for key, values in _PARAMS[family].items():
+        optional = key in FAMILIES[family].defaults
+        if not optional or draw(st.booleans()):
+            params.append((key, draw(values)))
+    poly = draw(st.none() | _POLYS) if FAMILIES[family].bit is not None else None
+    try:
+        return SeqSpec(family, tuple(params), poly)
+    except InvalidParameter:
+        assume(False)
+
+
+def test_param_strategies_cover_every_family():
+    assert {f: set(keys) for f, keys in _PARAMS.items()} == {
+        f: set(fam.keys) for f, fam in FAMILIES.items()
+    }
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(specs())
+def test_seqspec_text_round_trip_property(spec):
+    text = spec.text()
+    again = parse_seqspec(text)
+    assert again == spec
+    assert again.text() == text
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(specs(), st.data())
+def test_parse_error_points_at_fault_property(spec, data):
+    # Corrupt one place of a valid spec's text; the error must name it.
+    # "\u00b2" (superscript two) passes str.isdigit but not int().
+    junk = data.draw(st.sampled_from(["x", "\u00b2", "\u0663", " "]))
+    family = spec.family
+    body, _, suffix = spec.text().partition("@")
+    suffix = "@" + suffix if suffix else ""
+    items = body[len(family) + 1 :].split(",") if ":" in body else []
+    faults = ["family", "suffix", "poly"]
+    if items:
+        faults += ["value", "empty", "noeq"]
+    fault = data.draw(st.sampled_from(faults))
+    if fault == "family":
+        bad, pos = junk + spec.text(), 0
+    elif fault == "suffix":
+        bad, pos = body + "@pol=n", len(body)
+    elif fault == "poly":
+        poly = spec.poly.text() if spec.poly is not None else "n"
+        bad = f"{body}@poly={poly}+{junk}"
+        pos = len(bad) - 1
+    else:
+        i = data.draw(st.integers(0, len(items) - 1))
+        key = items[i].split("=")[0]
+        if fault == "value":
+            assume(FAMILIES[family].keys[key] != "path")
+            items[i] = key + "=" + junk
+        elif fault == "empty":
+            items[i] = key + "="
+        else:
+            items[i] = items[i].replace("=", "", 1)
+        head = f"{family}:" + "".join(item + "," for item in items[:i])
+        bad = head + ",".join(items[i:]) + suffix
+        pos = len(head) + (0 if fault == "noeq" else len(key) + 1)
+    with pytest.raises(ParseError) as info:
+        parse_seqspec(bad)
+    assert (info.value.text, info.value.pos) == (bad, pos), info.value
+    assert f"at position {pos} in" in str(info.value)
+
+
 def test_generate_and_file_roundtrip(tmp_path):
     out = tmp_path / "rs.bits"
     code, stdout, _ = run(["generate", "--seq", "rudin-shapiro", "--n", "100", "--out", str(out)])
@@ -157,16 +250,24 @@ def test_analyze_json_and_measure_selection():
 
 def test_analyze_csv_pinned(tmp_path, monkeypatch):
     # SHA-256 of each CSV as written while adic_profile pushed a Euclidean
-    # lattice and corr2 ran correlation2 on every prefix.
+    # lattice, corr2 ran correlation2 and expansion ran expansion_complexity
+    # on every prefix.
     monkeypatch.chdir(tmp_path)
     rng = random.Random(50)
     (tmp_path / "rand.bits").write_text("".join(str(rng.getrandbits(1)) for _ in range(200)) + "\n")
+    (tmp_path / "rand400.bits").write_text("".join(str(rng.getrandbits(1)) for _ in range(400)) + "\n")
     expected = {
         ("--seq", "thue-morse", "--nmax", "3000"): (
             "cd2d5da24e2d520892ed0b691dbe06e14ce9a67146d49d8580c4c7a01c3bd9cf"
         ),
         ("--seq", "file:path=rand.bits", "--nmax", "200", "--measures", "correlation"): (
             "2bb49452940298c8b67aec4c1ad25a95bbb25ed20098c0ceeac95b61e3c39196"
+        ),
+        ("--seq", "thue-morse", "--nmax", "1000", "--measures", "expansion"): (
+            "ba101e3af5a261a378d10e30e3bbf44fd4652fa308862dc87ce4d134fc1dd6ec"
+        ),
+        ("--seq", "file:path=rand400.bits", "--nmax", "400", "--measures", "expansion"): (
+            "46837b4f0b1aff7f68ad6e92e70a54d7aa2e9b67ee374fd6ddf215cf490f00f3"
         ),
     }
     for args, digest in expected.items():
@@ -320,6 +421,8 @@ def test_error_exit_codes():
     assert code == 2 and err.startswith("error:")
     code, _, err = run(["analyze", "--seq", "thue-morse@poly=n^", "--nmax", "8"])
     assert code == 2 and "position" in err
+    code, _, err = run(["generate", "--seq", "pattern:k=²", "--n", "4"])
+    assert code == 2 and "position 10" in err
     code, _, err = run(["generate", "--seq", "thue-morse", "--n", "-5"])
     assert code == 2
     code, _, err = run(["analyze", "--seq", "file:path=/nonexistent.bits", "--nmax", "4"])

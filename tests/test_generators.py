@@ -37,8 +37,10 @@ from seqlab.generators import (
     zeckendorf_digits,
     zeckendorf_word,
 )
-from seqlab.numtheory import is_prime, legendre_symbol, multiplicative_order
+from seqlab.numtheory import is_prime, multiplicative_order
 from seqlab.seqcore import Word, write_bits
+
+from referees import legendre_symbol
 
 
 # Run-length oracle: overlapping occurrences of the all-ones block of

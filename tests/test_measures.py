@@ -7,13 +7,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqlab.errors import BoundExceeded
-from seqlab.generators import fcsr_word, lfsr_period, thue_morse_word
+from seqlab.generators import (
+    fcsr_word,
+    lfsr_period,
+    rudin_shapiro_word,
+    thue_morse_word,
+    zeckendorf_word,
+)
 from seqlab.maxorder import moc, moc_profile
 from seqlab.measures import (
     correlation2,
     correlation2_profile,
     correlation_k,
     expansion_complexity,
+    expansion_profile,
     linear_complexity_periodic,
     linear_profile,
 )
@@ -279,6 +286,64 @@ def test_expansion_linear_bound():
         assert m <= L
         if e is not None:
             assert e <= min(L + 1, n + 2 - L), (w.to01(), L, e)
+
+
+def test_expansion_profile_exhaustive():
+    # Every prefix of every word of length 11 covers all words up to 11.
+    for v in range(1 << 11):
+        w = Word(bytes((v >> i) & 1 for i in range(11)))
+        prof = expansion_profile(w)
+        for n in range(1, 12):
+            assert prof.at(n) == expansion_complexity(w, n), (w.to01(), n)
+
+
+def test_expansion_profile_random_and_families():
+    rng = random.Random(47)
+    for d_max in (3, 16):
+        for length in (1, 2, 17, 64, 150, 153, 154, 250, 400):
+            w = random_word(rng, length)
+            got = list(expansion_profile(w, d_max))
+            assert got == [expansion_complexity(w, n, d_max) for n in range(1, length + 1)], (
+                w.to01(),
+                d_max,
+            )
+    for w in (thue_morse_word(600), rudin_shapiro_word(600), zeckendorf_word(600)):
+        got = list(expansion_profile(w))
+        assert got == [expansion_complexity(w, n) for n in range(1, 601)], w
+
+
+def test_expansion_profile_edges():
+    assert list(expansion_profile(Word(b""))) == []
+    assert list(expansion_profile(Word(bytes(20)))) == [0] * 20
+    for d_max in (0, -3):
+        with pytest.raises(ValueError, match="d_max"):
+            expansion_profile(Word.from01("01"), d_max)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=64), st.integers(1, 16))
+def test_expansion_profile_property(bits, d_max):
+    w = Word(bytes(bits))
+    got = list(expansion_profile(w, d_max))
+    assert got == [expansion_complexity(w, n, d_max) for n in range(1, len(w) + 1)]
+
+
+def test_expansion_profile_linear_bound_and_monotone():
+    # E(n) <= min(L(n) + 1, n + 2 - L(n)) at every prefix; None means
+    # E > d_max, so the bound must then exceed d_max. E never decreases
+    # once a 1 bit has been seen (None counts as above every degree).
+    rng = random.Random(48)
+    words = [thue_morse_word(2000), rudin_shapiro_word(2000), zeckendorf_word(2000)]
+    words += [lfsr_period((0, 1), (1, 0, 0, 0)).prefix(300), fcsr_word(1, 11).prefix(300)]
+    words += [random_word(rng, rng.randrange(1, 1000)) for _ in range(20)]
+    words += [Word(bytes(k) + bytes([1]) + random_word(rng, 200).bits) for k in (0, 5, 40)]
+    for w in words:
+        prof = list(expansion_profile(w))
+        for n, (e, L) in enumerate(zip(prof, linear_profile(w)), start=1):
+            bound = min(L + 1, n + 2 - L)
+            assert bound > 16 if e is None else e <= bound, (w, n, e, L)
+        ranks = [17 if e is None else e for e in prof[max(w.bits.find(1), 0) :]]
+        assert ranks == sorted(ranks), w
 
 
 def test_moc_at_most_linear_exhaustive():
