@@ -20,6 +20,15 @@ from .errors import BoundExceeded, InvalidParameter, ParseError, SeqLabError
 from .generators import PolySpec, SeqSpec
 from .seqcore import write_bits
 
+# Cost caps, checked before any work starts; the library itself is uncapped.
+# A scan runs one Euclid and one minimum per grid point, each quadratic in
+# N: at N = 10^6 the top point takes 3.4 to 4.5 s, the default grid (100
+# points) 7 to 10 s, and 400 points (ratio about 1.03 at 10^6) about 75 s
+# (2-core container), so one run stays within minutes. generate builds
+# words of the same lengths.
+MAX_BITS = 1_000_000
+MAX_GRID_POINTS = 400
+
 # ---------------------------------------------------------------------------
 # sequence spec grammar: NAME(:key=value(,key=value)*)?(@poly=EXPR)?
 # Families, their keys and the kinds of their values: generators.FAMILIES.
@@ -327,6 +336,8 @@ def _dispatch(args) -> int:
     if args.verb == "generate":
         if args.n < 0:
             raise InvalidParameter(f"--n must be nonnegative, got {args.n}")
+        if args.n > MAX_BITS:
+            raise BoundExceeded(f"--n {args.n} exceeds its maximum {MAX_BITS}")
         w = generators.materialize(parse_seqspec(args.seq), args.n)
         if args.out is None:
             write_bits(w, sys.stdout)
@@ -350,6 +361,9 @@ def _dispatch(args) -> int:
         return _reports_exit(relations.reproduce_table(args.which), args.format, args.out)
     if args.verb == "scan":
         spec = parse_seqspec(args.seq)
+        if args.nmax > MAX_BITS:
+            raise BoundExceeded(f"--nmax {args.nmax} exceeds its maximum {MAX_BITS}")
+        relations.grid_points(args.nmax, args.grid_ratio, MAX_GRID_POINTS)
         report = relations.conjecture_scan(spec, args.nmax, args.c, args.grid_ratio)
         if args.format == "json":
             _emit(relations.scan_to_json(report), args.out)

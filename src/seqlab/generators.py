@@ -92,7 +92,30 @@ def _check_pattern_args(k: int) -> None:
 
 
 def pattern_word(k: int, n: int) -> Word:
-    return Word(bytes(pattern_bit(k, i) for i in range(n)))
+    """First n bits of pattern_bit(k, .), built by doubling.
+
+    Appending bit 0 to binary(i) adds no window and appending bit 1 adds
+    one exactly when the low k - 1 bits of i are all ones, so
+    bit(2i) = bit(i) and bit(2i + 1) = bit(i) ^ [i = m mod 2^(k-1)] with
+    m = 2^(k-1) - 1. Each doubling is one big-int XOR and two slice
+    assignments.
+    """
+    _check_pattern_args(k)
+    if k > max(n - 1, 0).bit_length():
+        # No index is k bits long: all zeros, and 2^(k-1) is never built.
+        return Word(bytes(max(n, 0)))
+    period = 1 << (k - 1)
+    cur = b"\0"
+    while len(cur) < n:
+        size = len(cur)
+        marks = bytearray(size)
+        marks[period - 1 :: period] = b"\1" * len(range(period - 1, size, period))
+        odd = int.from_bytes(cur, "little") ^ int.from_bytes(marks, "little")
+        out = bytearray(2 * size)
+        out[0::2] = cur
+        out[1::2] = odd.to_bytes(size, "little")
+        cur = out
+    return Word(bytes(cur[:n]))
 
 
 def thue_morse_word(n: int) -> Word:
@@ -288,10 +311,12 @@ class Family:
     keys maps each parameter to the kind of its value (see _KINDS); every
     key is required but those given in defaults. The callables take the
     parameters as keyword arguments, defaults filled in. check validates
-    them, once, when a SeqSpec is built. An indexed family gives bit(...),
-    its bit as a function of the index, and only indexed families take
-    @poly=; any other family gives prefix(n, ...), the first n bits.
-    period(...) is one least period, for families that have one.
+    them, once, when a SeqSpec is built. prefix(n, ...) gives the first n
+    bits. An indexed family gives bit(...), its bit as a function of the
+    index, and only indexed families take @poly=; one that also gives
+    prefix builds its plain words with it and takes bit only along a
+    polynomial. period(...) is one least period, for families that have
+    one.
     """
 
     keys: dict = field(default_factory=dict)
@@ -311,13 +336,20 @@ def _constant(b: int) -> Family:
 FAMILIES = {
     "zero": _constant(0),
     "ones": _constant(1),
-    "thue-morse": Family(bit=lambda: functools.partial(pattern_bit, 1)),
+    "thue-morse": Family(
+        bit=lambda: functools.partial(pattern_bit, 1),
+        prefix=lambda n: pattern_word(1, n),
+    ),
     "pattern": Family(
         {"k": "int"},
         check=_check_pattern_args,
         bit=lambda k: functools.partial(pattern_bit, k),
+        prefix=lambda n, k: pattern_word(k, n),
     ),
-    "rudin-shapiro": Family(bit=lambda: functools.partial(pattern_bit, 2)),
+    "rudin-shapiro": Family(
+        bit=lambda: functools.partial(pattern_bit, 2),
+        prefix=lambda n: pattern_word(2, n),
+    ),
     "zeckendorf": Family(bit=lambda: zeckendorf_bit),
     "legendre": Family(
         {"p": "int", "f": "poly"},
@@ -420,7 +452,7 @@ def materialize(spec: SeqSpec, n: int) -> Word:
     if n < 0:
         raise InvalidParameter(f"need n >= 0, got {n}")
     fam = FAMILIES[spec.family]
-    if fam.bit is None:
+    if spec.poly is None and fam.prefix is not None:
         return fam.prefix(n, **spec._values())
     bit = fam.bit(**spec._values())
     if spec.poly is None:

@@ -675,17 +675,23 @@ class ScanReport:
         return max(self.points, key=lambda p: abs(p.deviation))
 
 
-def grid_points(n_max: int, ratio: float = 1.3) -> list[int]:
-    """Every length up to 64, then geometric steps, always ending at n_max."""
+def grid_points(n_max: int, ratio: float = 1.3, max_points: int | None = None) -> list[int]:
+    """Every length up to 64, then geometric steps, always ending at n_max.
+
+    With max_points, a grid longer than that raises BoundExceeded as soon
+    as it passes the cap, before the rest is built.
+    """
     if n_max < 2:
         raise InvalidParameter(f"need n_max >= 2, got {n_max}")
-    if ratio <= 1.0:
-        raise InvalidParameter(f"need ratio > 1, got {ratio}")
+    if not (math.isfinite(ratio) and ratio > 1.0):
+        raise InvalidParameter(f"need a finite ratio > 1, got {ratio}")
     pts = list(range(2, min(n_max, 64) + 1))
     cur = pts[-1]
     while cur < n_max:
         cur = min(n_max, max(cur + 1, math.ceil(cur * ratio)))
         pts.append(cur)
+        if max_points is not None and len(pts) > max_points:
+            raise BoundExceeded(f"grid to {n_max} at ratio {ratio} has more than {max_points} points")
     return pts
 
 
@@ -699,8 +705,8 @@ def conjecture_scan(
     deviation is at most c*log2(N). The constant c is a user knob with an
     arbitrary default; status reports the outcome and asserts nothing.
     """
-    if c <= 0:
-        raise InvalidParameter(f"need c > 0, got {c}")
+    if not (math.isfinite(c) and c > 0):
+        raise InvalidParameter(f"need a finite c > 0, got {c}")
     grid = grid_points(n_max, ratio)
     cap = None
     if spec.family == "legendre":

@@ -207,7 +207,7 @@ LONG_MODE = os.environ.get("SEQLAB_LONG") == "1"
 
 @pytest.mark.skipif(
     not LONG_MODE,
-    reason="full-range scans (N = 10^6, p < 50000) need hours; "
+    reason="full-range scans (N = 10^6, p < 50000) take about 9 minutes; "
     "set SEQLAB_LONG=1 to opt in, SEQLAB_LONG_NMAX / SEQLAB_LONG_PMAX to trim",
 )
 def test_criterion_08_long_mode_full_ranges():

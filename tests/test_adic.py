@@ -5,6 +5,7 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from referees import euclid_rows
 
 import seqlab.adic as adic
 from seqlab.adic import (
@@ -19,7 +20,7 @@ from seqlab.adic import (
     phi2_symmetric,
 )
 from seqlab.errors import OracleBoundExceeded
-from seqlab.generators import SeqSpec, fcsr_word
+from seqlab.generators import SeqSpec, fcsr_word, pattern_word
 from seqlab.relations import conjecture_scan
 from seqlab.seqcore import (
     PeriodicSequence,
@@ -147,6 +148,62 @@ def test_euclid_matches_pushed_lattice_random_long():
             assert nu <= lat.vf**2 + lat.vq**2
             assert abs(2 * (lat.uf * lat.vf + lat.uq * lat.vq)) <= nu
             assert abs(lat.uf * lat.vq - lat.uq * lat.vf) == 1 << n
+
+
+def test_euclid_rows_match_schoolbook_exhaustive():
+    for n in range(1, 13):
+        for s in range(1 << n):
+            assert adic._euclid_rows(s, n) == euclid_rows(s, n), (s, n)
+
+
+def test_euclid_rows_match_schoolbook_random_long():
+    # Lehmer rounds run while r1 is longer than max(n//2 + 70, 1500) bits.
+    rng = random.Random(38)
+    for _ in range(1000):
+        n = rng.randrange(1, 3000)
+        s = rng.getrandbits(n)
+        assert adic._euclid_rows(s, n) == euclid_rows(s, n), (s, n)
+
+
+def test_euclid_rows_match_schoolbook_edge_words():
+    # Around both handoffs to the schoolbook loop: n//2 + 70 (n near 130 to
+    # 260 and 2860) and the 1500-bit floor. Large and failed quotients
+    # take the single-step path.
+    for n in [*range(128, 262), *range(1490, 1512), *range(2850, 2872)]:
+        full = (1 << n) - 1
+        alt = full // 3
+        for s in (0, 1, 1 << (n - 1), full, alt, alt << 1, full - (1 << (n // 2))):
+            s &= full
+            assert adic._euclid_rows(s, n) == euclid_rows(s, n), (s, n)
+
+
+def test_euclid_rows_match_schoolbook_pattern_words():
+    for k in (1, 2):
+        s = prefix_value(pattern_word(k, 10007), 10007)
+        for n in (9973, 10000, 10007):
+            part = s & ((1 << n) - 1)
+            assert adic._euclid_rows(part, n) == euclid_rows(part, n), (k, n)
+
+
+def test_euclid_row_guard(monkeypatch):
+    # The stopping-row recheck refuses rows one step early or late, and runs
+    # on every call.
+    n, s = 20, 12345
+    rows = [(1 << n, 0), (s, 1)]
+    while rows[-1][0]:
+        (r0, t0), (r1, t1) = rows[-2:]
+        k = r0 // r1
+        rows.append((r0 - k * r1, t0 - k * t1))
+    i = rows.index(euclid_rows(s, n)[2:])
+    assert adic._checked_rows(n, *rows[i - 1], *rows[i]) == euclid_rows(s, n)
+    for j in (i - 1, i + 1):
+        with pytest.raises(AssertionError):
+            adic._checked_rows(n, *rows[j - 1], *rows[j])
+    calls = []
+    real = adic._checked_rows
+    monkeypatch.setattr(adic, "_checked_rows", lambda *args: calls.append(args[0]) or real(*args))
+    adic_minima(Word.from01("0100110101110001"), [3, 9, 16])
+    assert calls == [3, 9, 16]
 
 
 def test_single_lengths_do_not_push(monkeypatch):

@@ -374,10 +374,36 @@ def test_scan_output_and_tolerance():
 
 
 def test_scan_bad_arguments_exit_2():
-    for extra in (["--nmax", "1"], ["--nmax", "48", "--grid-ratio", "1"], ["--nmax", "48", "--c", "0"]):
+    for extra in (
+        ["--nmax", "1"],
+        ["--nmax", "48", "--grid-ratio", "1"],
+        ["--nmax", "48", "--c", "0"],
+        ["--nmax", "48", "--grid-ratio", "nan"],
+        ["--nmax", "48", "--grid-ratio", "inf"],
+        ["--nmax", "48", "--c", "nan"],
+        ["--nmax", "48", "--c", "inf"],
+    ):
         code, out, err = run(["scan", "--seq", "thue-morse", *extra])
         assert code == 2 and out == "", extra
-        assert err.startswith("error:") and "Traceback" not in err, extra
+        assert err.startswith("error:") and err.count("\n") == 1, extra
+
+
+def test_scan_and_generate_cost_caps_exit_2():
+    # Refused before any word is built or any Euclid runs.
+    t = time.perf_counter()
+    for args in (
+        ["scan", "--seq", "thue-morse", "--nmax", "1000001"],
+        ["scan", "--seq", "thue-morse", "--nmax", "1000000", "--grid-ratio", "1.0000001"],
+        ["scan", "--seq", "thue-morse", "--nmax", "2000", "--grid-ratio", "1.001"],
+        ["generate", "--seq", "thue-morse", "--n", "1000001"],
+    ):
+        code, out, err = run(args)
+        assert code == 2 and out == "", args
+        assert err.startswith("error:") and err.count("\n") == 1, args
+        assert "exceeds its maximum 1000000" in err or "more than 400 points" in err, args
+    assert time.perf_counter() - t < 2.0
+    assert run(["scan", "--seq", "thue-morse", "--nmax", "300", "--grid-ratio", "1.0001"])[0] == 0
+    assert len(run(["generate", "--seq", "thue-morse", "--n", "1000000"])[1]) > 10**6
 
 
 def test_periodic_prints_integers_of_any_size():

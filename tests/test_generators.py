@@ -103,9 +103,24 @@ def test_rudin_shapiro_frozen_prefix():
 
 
 def test_pattern_word_consistent_with_bit():
-    for k in (1, 3):
-        w = pattern_word(k, 200)
-        assert list(w) == [pattern_bit(k, n) for n in range(200)]
+    for k in range(1, 6):
+        for n in (0, 1, 2, 3, 7, 100, 200, 5000):
+            w = pattern_word(k, n)
+            assert w.bits == bytes(pattern_bit(k, i) for i in range(n)), (k, n)
+    assert pattern_word(10**9, 5).to01() == "00000"
+
+
+def test_pattern_families_build_plain_words_in_bulk(monkeypatch):
+    # Plain specs read the bulk prefix; @poly= specs take the per-bit path.
+    calls = []
+    real = generators.pattern_word
+    monkeypatch.setattr(generators, "pattern_word", lambda k, n: calls.append(k) or real(k, n))
+    for family, params, k in (("thue-morse", (), 1), ("rudin-shapiro", (), 2), ("pattern", (("k", 3),), 3)):
+        spec = SeqSpec(family, params)
+        assert materialize(spec, 300).bits == bytes(pattern_bit(k, i) for i in range(300))
+        along = materialize(SeqSpec(family, params, PolySpec((0, 0, 1))), 50)
+        assert along.bits == bytes(pattern_bit(k, i * i) for i in range(50))
+    assert calls == [1, 2, 3]
 
 
 def test_along_polynomial():
