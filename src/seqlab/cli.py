@@ -28,6 +28,10 @@ from .seqcore import write_bits
 # words of the same lengths.
 MAX_BITS = 1_000_000
 MAX_GRID_POINTS = 400
+# analyze prints mu, an integer of about N/2 bits, on each of its N rows, so
+# its output grows as N^2: 3.6 s, 200 MB peak and 74 MB written at 32000
+# (Thue-Morse, 2-core container), against 85 s and 1.7 GB at 100000.
+MAX_ANALYZE_BITS = 32_000
 
 # ---------------------------------------------------------------------------
 # sequence spec grammar: NAME(:key=value(,key=value)*)?(@poly=EXPR)?
@@ -347,6 +351,8 @@ def _dispatch(args) -> int:
     if args.verb == "analyze":
         if args.nmax < 1:
             raise InvalidParameter(f"--nmax must be positive, got {args.nmax}")
+        if args.nmax > MAX_ANALYZE_BITS:
+            raise BoundExceeded(f"--nmax {args.nmax} exceeds its maximum {MAX_ANALYZE_BITS}")
         names = _parse_measures(args.measures)
         spec = parse_seqspec(args.seq)
         _emit(_analyze_text(spec, args.nmax, names, args.format), args.out)

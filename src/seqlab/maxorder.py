@@ -198,21 +198,14 @@ def moc_from_coset(a: int, q: int) -> int:
 
     q = 1 (and generally orbit size 1) is the constant sequence: returns 0.
     """
-    orbit = sorted(coset(a, q).elements)
+    orbit = coset(a, q).elements
     t = len(orbit)
     if t == 1:
         return 0
-    for nbits in range(1, q.bit_length() + 1):
+    # t distinct residues mod 2^N need 2^N >= t, so narrower widths cannot pass.
+    for nbits in range((t - 1).bit_length(), q.bit_length() + 1):
         mask = (1 << nbits) - 1
-        seen = set()
-        ok = True
-        for u in orbit:
-            r = u & mask
-            if r in seen:
-                ok = False
-                break
-            seen.add(r)
-        if ok:
+        if len({u & mask for u in orbit}) == t:
             return nbits
     raise AssertionError("unreachable: orbit elements are distinct below q")
 

@@ -251,24 +251,26 @@ def lemma3_scan(k_max: int) -> VerificationReport:
 # The closing example: M = T - 2 does not force a maximal connection integer.
 THM6_EXAMPLE = ("00100100", 6, 85)
 
-# Largest period the exhaustive thm6 check accepts: 2^T words per T.
-THM6_T_MAX = 14
+# Largest period the exhaustive thm6 check accepts, the same as thm2's.
+THM6_T_MAX = 20
 
 
 def verify_thm6(T: int) -> VerificationReport:
     """Every least-period-T word with M = T - 1 has q = 2^T - 1.
 
-    Exhaustive over all 2^T phase words. At T = 8 the report also rechecks
-    the near-extremal example with M = T - 2 and q = 85 < 255.
+    Exhaustive over all least-period-T words, one rotation class at a time
+    through its least word; extremal_words counts T words per class. At
+    T = 8 the report also rechecks the near-extremal example with M = T - 2
+    and q = 85 < 255.
     """
     if not 2 <= T <= THM6_T_MAX:
         raise BoundExceeded(f"need 2 <= T <= {THM6_T_MAX}, got {T}")
     full = (1 << T) - 1
     extremal = 0
-    for s in _least_period_words(T):
+    for s in _rotation_classes(T):
         if maxorder.moc_periodic(s) != T - 1:
             continue
-        extremal += 1
+        extremal += T
         q = adic.connection(s).q
         if q != full:
             return VerificationReport(
@@ -509,15 +511,38 @@ def _least_period_words(T: int):
             yield s
 
 
+def _rotation_classes(T: int):
+    """One least-period-T sequence per rotation class, by ascending phase value.
+
+    The phase value v (bit i is symbol i) is yielded when every proper
+    rotation of v as a T-bit integer is greater than v, which also makes T
+    its least period. A class holds T words, and M and q are constant on it:
+    the window set is the same, and a shift multiplies A by 2^-1 mod 2^T - 1.
+    So a suite that stops at its first failing word stops at the same word
+    over these representatives, as the least word of a class comes first.
+    """
+    mask = (1 << T) - 1
+    for v in range(1 << T):
+        for k in range(1, T):
+            if (v >> k | v << (T - k)) & mask <= v:
+                break
+        else:
+            yield PeriodicSequence(Word([(v >> i) & 1 for i in range(T)]), least=True)
+
+
 def thm2_suite(t_max: int):
-    """Exhaustive over every period length up to t_max, one report per T."""
+    """Exhaustive over every period length up to t_max, one report per T.
+
+    Each rotation class is evaluated once through its least word and
+    counted T times.
+    """
     reports = []
     for T in range(1, t_max + 1):
         words = 0
         tight = None
         failed = None
-        for s in _least_period_words(T):
-            words += 1
+        for s in _rotation_classes(T):
+            words += T
             m = maxorder.moc_periodic(s)
             q = adic.connection(s).q
             cap = numtheory.ceil_log2(q)
@@ -544,7 +569,10 @@ def thm2_suite(t_max: int):
 
 
 def lemma1_suite(t_max: int):
-    """The recorded gap instance first, then exhaustive periods up to t_max."""
+    """The recorded gap instance first, then exhaustive periods up to t_max.
+
+    Every word is visited: mu(2T) is not constant on a rotation class.
+    """
     reports = [verify_lemma1(PeriodicSequence.from_word(Word.from01("01001")))]
     for T in range(1, t_max + 1):
         words = 0
@@ -604,10 +632,12 @@ class ClaimSuite:
     maximum: int | None = None
 
 
-# Every claim, each declared once, in report order. Each step of T about
-# doubles the thm2 and lemma1 suites; the caps keep one run to minutes.
-# lowerbound takes about 0.14 s at --nmax 8000, 0.4 s at 16000 and 1.1 s at
-# 32000 (2-core container), about 3x per doubling, far below its cap.
+# Every claim, each declared once, in report order. thm2 and thm6 evaluate
+# one word per rotation class, about 2^T/T per T: 2.5 s and 2.3 s at their
+# cap T = 20. lemma1 visits every word, so each step of T doubles it: 7 s at
+# its cap 16. lowerbound takes about 0.14 s at --nmax 8000, 0.4 s at 16000
+# and 1.1 s at 32000, about 3x per doubling. The caps keep one run to
+# seconds (all times single runs on a 2-core container).
 CLAIM_SUITES = {
     "cor1": ClaimSuite(cor1_suite),
     "lemma1": ClaimSuite(lemma1_suite, "--exhaustive-T", 8, 16),

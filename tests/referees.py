@@ -24,3 +24,99 @@ def euclid_rows(s: int, n: int) -> tuple[int, int, int, int]:
         k = r0 // r1
         r0, t0, r1, t1 = r1, t1, r0 - k * r1, t0 - k * t1
     return r0, t0, r1, t1
+
+
+def coset_width(a: int, q: int) -> int:
+    """Least N with the doubling orbit of a mod q distinct mod 2^N, trying
+    N = 1, 2, ... in turn; 0 when the orbit has one element."""
+    orbit = set()
+    u = a % q
+    while u not in orbit:
+        orbit.add(u)
+        u = u * 2 % q
+    if len(orbit) == 1:
+        return 0
+    for nbits in range(1, q.bit_length() + 1):
+        mask = (1 << nbits) - 1
+        seen = set()
+        for u in sorted(orbit):
+            if u & mask in seen:
+                break
+            seen.add(u & mask)
+        else:
+            return nbits
+    raise AssertionError("unreachable: orbit elements are distinct below q")
+
+
+def least_period_words(T: int):
+    """Every word of least period T as a bit tuple (bit i of the phase value
+    v is symbol i), by ascending v."""
+    for v in range(1 << T):
+        bits = tuple((v >> i) & 1 for i in range(T))
+        if all(bits != bits[d:] + bits[:d] for d in range(1, T)):
+            yield bits
+
+
+def _ceil_log2(n: int) -> int:
+    return (n - 1).bit_length()
+
+
+def thm2_per_word(t_max: int, moc, conn_q) -> list[tuple]:
+    """The thm2 suite over every least-period word: one row
+    (claim_id, instance, status, evidence) per T, stopping a T at its first
+    word with M > ceil(log2 q). moc and conn_q map a bit tuple to M and q."""
+    rows = []
+    for T in range(1, t_max + 1):
+        words = 0
+        tight = None
+        failed = None
+        for bits in least_period_words(T):
+            words += 1
+            m, q = moc(bits), conn_q(bits)
+            cap = _ceil_log2(q)
+            if m > cap:
+                word = "".join(map(str, bits))
+                evidence = {"word": word, "moc": m, "q": q, "ceil_log2_q": cap}
+                failed = ("thm2", f"exhaustive T={T}", "fail", evidence)
+                break
+            if tight is None or cap - m < tight:
+                tight = cap - m
+        rows.append(
+            failed
+            or ("thm2", f"exhaustive T={T}", "pass", {"T": T, "words": words, "min_slack": tight})
+        )
+    return rows
+
+
+def thm6_per_word(t_max: int, moc, conn_q) -> list[tuple]:
+    """The thm6 suite over every least-period word, rows as in thm2_per_word:
+    each word with M = T - 1 must have q = 2^T - 1, and T = 8 rechecks the
+    example 00100100 with M = 6 and q = 85."""
+    rows = []
+    for T in range(2, t_max + 1):
+        full = (1 << T) - 1
+        extremal = 0
+        failed = None
+        for bits in least_period_words(T):
+            if moc(bits) != T - 1:
+                continue
+            extremal += 1
+            q = conn_q(bits)
+            if q != full:
+                word = "".join(map(str, bits))
+                evidence = {"T": T, "word": word, "q": q, "expected_q": full}
+                failed = ("thm6", f"T={T}", "fail", evidence)
+                break
+        if failed:
+            rows.append(failed)
+            continue
+        evidence = {"T": T, "extremal_words": extremal, "q": full}
+        status = "pass"
+        if T == 8:
+            bits = (0, 0, 1, 0, 0, 1, 0, 0)
+            m, q = moc(bits), conn_q(bits)
+            evidence["example"] = {"word": "00100100", "moc": m, "q": q}
+            if (m, q) != (6, 85):
+                status = "fail"
+        rows.append(("thm6", f"T={T}", status, evidence))
+    return rows

@@ -10,6 +10,7 @@ import time
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import seqlab.generators as generators
 import seqlab.relations as relations
 from seqlab.adic import adic_min
 from seqlab.cli import main, parse_poly, parse_seqspec
@@ -322,7 +323,7 @@ def test_verify_bounds_above_maximum_exit_before_running(monkeypatch):
         raise AssertionError("suite ran despite an out-of-range bound")
 
     cases = (
-        ("thm6", "--exhaustive-T", 15),
+        ("thm6", "--exhaustive-T", 21),
         ("thm2", "--exhaustive-T", 21),
         ("lemma1", "--exhaustive-T", 17),
         ("lowerbound", "--nmax", 32001),
@@ -404,6 +405,17 @@ def test_scan_and_generate_cost_caps_exit_2():
     assert time.perf_counter() - t < 2.0
     assert run(["scan", "--seq", "thue-morse", "--nmax", "300", "--grid-ratio", "1.0001"])[0] == 0
     assert len(run(["generate", "--seq", "thue-morse", "--n", "1000000"])[1]) > 10**6
+
+
+def test_analyze_nmax_cap_exits_2_before_building_the_word(monkeypatch):
+    def never(*_):
+        raise AssertionError("word built despite an out-of-range --nmax")
+
+    monkeypatch.setattr(generators, "materialize", never)
+    code, out, err = run(["analyze", "--seq", "thue-morse", "--nmax", "32001"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "--nmax 32001 exceeds its maximum 32000" in err
 
 
 def test_periodic_prints_integers_of_any_size():

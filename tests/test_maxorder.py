@@ -1,9 +1,11 @@
 """Maximum-order complexity: automaton engine against the window oracle."""
 
+import math
 import random
 
 import pytest
 
+from referees import coset_width
 from seqlab.config import oracle_bound
 from seqlab.errors import NotEllModulus, OracleBoundExceeded
 from seqlab.generators import fcsr_word
@@ -140,6 +142,15 @@ def test_moc_from_coset_matches_word_route():
                 continue
             s = fcsr_word(a, q)
             assert moc_from_coset(a, q) == moc_periodic(s), (a, q)
+
+
+def test_moc_from_coset_matches_width_from_one_referee():
+    for q in range(1, 258, 2):
+        for a in range(q):
+            if math.gcd(a, q) == 1:
+                assert moc_from_coset(a, q) == coset_width(a, q), (a, q)
+    for q in ell_moduli(3000):
+        assert moc_from_coset(1, q) == coset_width(1, q), q
 
 
 def test_moc_periodic_stabilizes():

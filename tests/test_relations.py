@@ -7,6 +7,8 @@ import random
 import pytest
 
 import seqlab.relations as relations
+from referees import thm2_per_word, thm6_per_word
+from seqlab import adic, maxorder
 from seqlab.adic import adic_min
 from seqlab.errors import BoundExceeded, InvalidParameter
 from seqlab.generators import SeqSpec, PolySpec, fcsr_word, legendre_period, IDENTITY
@@ -158,6 +160,64 @@ def test_thm6_mutation(monkeypatch):
     assert verify_thm6(8).status == "fail"
 
 
+def _moc_of(bits):
+    return maxorder.moc_periodic(PeriodicSequence(Word(bytes(bits)), least=True))
+
+
+def _q_of(bits):
+    return adic.connection(PeriodicSequence(Word(bytes(bits)), least=True)).q
+
+
+def _rows(reports):
+    return [(r.claim_id, r.instance, r.status, r.evidence) for r in reports]
+
+
+def test_periodic_suites_match_per_word_referee():
+    assert _rows(thm2_suite(12)) == thm2_per_word(12, _moc_of, _q_of)
+    assert _rows(thm6_suite(12)) == thm6_per_word(12, _moc_of, _q_of)
+
+
+def test_periodic_suites_fail_on_the_per_word_referee_word(monkeypatch):
+    # A fault constant on rotation classes: M + 2 on the words with q = 51
+    # (T = 8, where M is 4 or 5 and ceil(log2 q) = 6) fails thm2 and thm6.
+    real = maxorder.moc_periodic
+    monkeypatch.setattr(
+        maxorder, "moc_periodic", lambda s: real(s) + 2 * (adic.connection(s).q == 51)
+    )
+    thm2, thm6 = _rows(thm2_suite(12)), _rows(thm6_suite(12))
+    assert thm2 == thm2_per_word(12, _moc_of, _q_of)
+    assert thm6 == thm6_per_word(12, _moc_of, _q_of)
+    assert [r[1] for r in thm2 if r[2] == "fail"] == ["exhaustive T=8"]
+    assert [r[1] for r in thm6 if r[2] == "fail"] == ["T=8"]
+    assert thm2[7][3]["word"] == thm6[6][3]["word"] == "10100000"
+
+
+def _moebius(n):
+    mu = 1
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if n > 1 else mu
+
+
+def test_rotation_classes_are_least_rotations_counted_by_moebius():
+    for T in range(1, 17):
+        phases = []
+        for s in relations._rotation_classes(T):
+            bits = s.word.bits
+            rotations = [sum(b << i for i, b in enumerate(bits[k:] + bits[:k])) for k in range(T)]
+            assert all(rotations[0] < r for r in rotations[1:]), bits
+            phases.append(rotations[0])
+        assert phases == sorted(phases)
+        least_period_T = sum(_moebius(d) * 2 ** (T // d) for d in range(1, T + 1) if T % d == 0)
+        assert len(phases) * T == least_period_T, T
+
+
 def test_tables_reproduce():
     for which in (1, 2):
         reports = reproduce_table(which)
@@ -260,7 +320,7 @@ def test_claim_table_drives_registry_and_caps(monkeypatch):
         "lemma1": ("--exhaustive-T", 8, 16),
         "lowerbound": ("--nmax", 2000, 32000),
         "thm2": ("--exhaustive-T", 10, 20),
-        "thm6": ("--exhaustive-T", 12, relations.THM6_T_MAX),
+        "thm6": ("--exhaustive-T", 12, 20),
     }
     calls = []
     monkeypatch.setitem(CLAIMS, "thm2", lambda t: calls.append(t) or [])
