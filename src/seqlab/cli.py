@@ -32,6 +32,11 @@ MAX_GRID_POINTS = 400
 # its output grows as N^2: 3.6 s, 200 MB peak and 74 MB written at 32000
 # (Thue-Morse, 2-core container), against 85 s and 1.7 GB at 100000.
 MAX_ANALYZE_BITS = 32_000
+# periodic builds a suffix automaton over 2T - 1 bits and runs gcds on T-bit
+# numbers and polynomials, so it grows a little faster than T: legendre at
+# p = 999983 takes 34 s and 379 MB peak (2-core container). The family's
+# period bound (p, ord_q(2), 2^r - 1) is checked before anything is built.
+MAX_PERIOD = 1_000_000
 
 # ---------------------------------------------------------------------------
 # sequence spec grammar: NAME(:key=value(,key=value)*)?(@poly=EXPR)?
@@ -358,7 +363,11 @@ def _dispatch(args) -> int:
         _emit(_analyze_text(spec, args.nmax, names, args.format), args.out)
         return 0
     if args.verb == "periodic":
-        _emit(_periodic_text(parse_seqspec(args.seq), args.format), args.out)
+        spec = parse_seqspec(args.seq)
+        bound = generators.period_bound(spec)
+        if bound > MAX_PERIOD:
+            raise BoundExceeded(f"period up to {bound} exceeds its maximum {MAX_PERIOD}")
+        _emit(_periodic_text(spec, args.format), args.out)
         return 0
     if args.verb == "verify":
         reports = _verify_reports(args.claim, args.exhaustive_t, args.nmax)

@@ -178,18 +178,24 @@ class CosetSet:
         return len(self.elements)
 
 
-def coset(a: int, q: int) -> CosetSet:
+def _orbit(a: int, q: int) -> list[int]:
+    """The doubling orbit of the unit a mod q, from a until the walk
+    returns to it; doubling permutes the units, so it always does."""
     if q < 1 or q % 2 == 0:
         raise ValueError(f"need odd q >= 1, got {q}")
     if math.gcd(a, q) != 1:
         raise NotCoprime(f"gcd({a}, {q}) != 1")
     a %= q
-    orbit = set()
-    cur = a
-    while cur not in orbit:
-        orbit.add(cur)
+    orbit = [a]
+    cur = a * 2 % q
+    while cur != a:
+        orbit.append(cur)
         cur = cur * 2 % q
-    return CosetSet(frozenset(orbit), q)
+    return orbit
+
+
+def coset(a: int, q: int) -> CosetSet:
+    return CosetSet(frozenset(_orbit(a, q)), q)
 
 
 def moc_from_coset(a: int, q: int) -> int:
@@ -198,7 +204,7 @@ def moc_from_coset(a: int, q: int) -> int:
 
     q = 1 (and generally orbit size 1) is the constant sequence: returns 0.
     """
-    orbit = coset(a, q).elements
+    orbit = _orbit(a, q)
     t = len(orbit)
     if t == 1:
         return 0

@@ -5,7 +5,8 @@ Each measure has a per-prefix profile computed in one pass over the word:
 Berlekamp-Massey for linear complexity, per-lag running sums for order-2
 correlation, and one F2 echelon over the monomial columns x^i y^j, fed one
 coefficient row per bit, for expansion complexity. The single-length
-functions stay for one N and serve as the tests' referees.
+functions stay for one N and serve as the tests' referees. The linear
+complexity of a periodic sequence is one polynomial gcd over GF(2).
 """
 
 from __future__ import annotations
@@ -44,13 +45,26 @@ def linear_profile(w: Word) -> Profile:
 
 
 def linear_complexity_periodic(period: Word) -> int:
-    """Linear complexity of the infinite periodic sequence: the profile
-    saturates within two periods."""
+    """Linear complexity of the infinite sequence with this period word:
+    T - deg gcd(x^T + 1, s(x)) over GF(2), with s(x) = sum s_i x^i over one
+    period (Ding, Xiao and Shan, LNCS 561, 1991).
+
+    The generating function is s(x)/(x^T + 1), and its reduced denominator
+    has degree L. Any period gives the same value, least or not; the
+    all-zero period gives 0. One Euclid on int-packed polynomials (bit i =
+    coefficient of x^i), each step a shifted xor.
+    """
     t = len(period)
     if t == 0:
         raise TooShort("empty period")
-    doubled = Word(period.bits * 2)
-    return linear_profile(doubled).at(2 * t)
+    a, b = (1 << t) | 1, period.value()
+    while b:
+        da, db = a.bit_length(), b.bit_length()
+        while da >= db:
+            a ^= b << (da - db)
+            da = a.bit_length()
+        a, b = b, a
+    return t + 1 - a.bit_length()
 
 
 @dataclass(frozen=True)

@@ -455,7 +455,7 @@ def verify_msequence(r: int, taps: tuple[int, ...] | None = None) -> Verificatio
             FAIL,
             {"r": r, "period": s.T, "expected_period": T},
         )
-    L = measures.linear_profile(s.prefix(2 * T)).at(2 * T)
+    L = measures.linear_complexity_periodic(s.word)
     q = adic.connection(s).q
     evidence = {
         "r": r,

@@ -7,12 +7,42 @@ nothing from seqlab, so they check it from outside.
 import math
 
 
+def _euler_criterion(a: int, p: int) -> int:
+    r = pow(a % p, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
+
+
 def legendre_symbol(a: int, p: int) -> int:
     """Quadratic residue symbol (a/p) in {-1, 0, +1} by Euler's criterion."""
     if p < 3 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
         raise ValueError(f"{p} is not an odd prime")
-    r = pow(a % p, (p - 1) // 2, p)
-    return -1 if r == p - 1 else r
+    return _euler_criterion(a, p)
+
+
+def legendre_euler_word(p: int, f, n: int) -> list[int]:
+    """Bit i is 1 when f(i) is a nonzero square mod p, by Euler's criterion
+    on every bit; f is any callable on ints. p is checked by trial division
+    when below 2^32, and taken as an odd prime above, where trial division
+    would not finish."""
+    if p < 1 << 32:
+        legendre_symbol(0, p)  # raises unless p is an odd prime
+    return [1 if _euler_criterion(f(i), p) == 1 else 0 for i in range(n)]
+
+
+def linear_complexity_bm(period) -> int:
+    """Linear complexity of the periodic sequence with this period (a
+    sequence of bits): Berlekamp-Massey over two periods, where the
+    complexity has saturated. Polynomials are int-packed, bit i the
+    coefficient of x^i."""
+    c, b, ell, m, srev = 1, 1, 0, -1, 0
+    for n, bit in enumerate(list(period) * 2):
+        srev = (srev << 1) | bit  # bit k = s_{n-k}
+        if (c & srev).bit_count() & 1:
+            t = c
+            c ^= b << (n - m)
+            if 2 * ell <= n:
+                ell, b, m = n + 1 - ell, t, n
+    return ell
 
 
 def euclid_rows(s: int, n: int) -> tuple[int, int, int, int]:
@@ -26,14 +56,20 @@ def euclid_rows(s: int, n: int) -> tuple[int, int, int, int]:
     return r0, t0, r1, t1
 
 
-def coset_width(a: int, q: int) -> int:
-    """Least N with the doubling orbit of a mod q distinct mod 2^N, trying
-    N = 1, 2, ... in turn; 0 when the orbit has one element."""
+def coset_orbit(a: int, q: int) -> set[int]:
+    """The doubling orbit of a mod q, walked until an element repeats."""
     orbit = set()
     u = a % q
     while u not in orbit:
         orbit.add(u)
         u = u * 2 % q
+    return orbit
+
+
+def coset_width(a: int, q: int) -> int:
+    """Least N with the doubling orbit of a mod q distinct mod 2^N, trying
+    N = 1, 2, ... in turn; 0 when the orbit has one element."""
+    orbit = coset_orbit(a, q)
     if len(orbit) == 1:
         return 0
     for nbits in range(1, q.bit_length() + 1):

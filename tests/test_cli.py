@@ -287,6 +287,62 @@ def test_periodic_row():
     assert phi == sym == "4.954196"
 
 
+def test_periodic_outputs_pinned():
+    # sha256 of the CSV and the JSON summaries, recorded when L came from
+    # Berlekamp-Massey over two periods and every Legendre bit from Euler's
+    # criterion.
+    mseq = "lfsr:seed=1.0.0.0.0.0.0.0.0.0.0.0.0.0,taps=0.1.6.10"  # r = 14
+    expected = {
+        "legendre:p=1009": (
+            "5b138bfd59578694f3aa71b148e754f8307395b92c666969135181aafbba48bf",
+            "0735997bb8620c49677a1902e398a6c1645d760685ffa086daef58130d9629a6",
+        ),
+        "legendre:p=20011": (
+            "63c700457443633f0b698c5a58135aa9adeb2eb7001239a58e48866c3f8ebc8e",
+            "a2b6e5a56cd046a8b64338e6a2086f9edcc5bfffbb1758de0451b4e5e841368a",
+        ),
+        "legendre:p=7,f=n^2+1": (
+            "b3e1e93fd6d49c8a431596e9f7eabe09ec589f23df27325ce94044682f3bf1b6",
+            "49c872207aef04961848adf46c48ec3c97769de81db08b505416b0368c45c3ce",
+        ),
+        "ell:q=2861,A=1": (
+            "0eeb980323e726850be503a506a12f7b52389b6ad2ade2744a8a86c38d4fe585",
+            "09dc7ca8e06d673ecf788a4f1199bd3199bb54f66e8c36aa3f43959e1891d8f0",
+        ),
+        mseq: (
+            "a851a8f37c257fb336e843d149c832815b99aa911a0d804698defad3df32e56b",
+            "5befe8acaab3ad98fd7984d301ee8d556057dd9bd78a8c7ff63f61811d607cfe",
+        ),
+    }
+    for spec, digests in expected.items():
+        for fmt, digest in zip(("csv", "json"), digests):
+            code, out, _ = run(["periodic", "--seq", spec, "--format", fmt])
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, (spec, fmt)
+
+
+def test_periodic_period_cap_exits_2_before_building(monkeypatch):
+    def never(*_):
+        raise AssertionError("period built despite a period above the cap")
+
+    monkeypatch.setattr(generators, "periodic_sequence", never)
+    seed20 = ".".join(["1"] + ["0"] * 19)
+    for spec, bound in (
+        ("legendre:p=1000003", 1000003),
+        ("legendre:p=2305843009213693951", 2305843009213693951),
+        ("ell:q=1000003,A=1", 1000002),  # 2 is a primitive root mod 1000003
+        (f"lfsr:taps=0.3,seed={seed20}", 2**20 - 1),
+    ):
+        code, out, err = run(["periodic", "--seq", spec])
+        assert code == 2 and out == "", spec
+        assert err.startswith("error:") and err.count("\n") == 1, spec
+        assert f"period up to {bound} exceeds its maximum 1000000" in err, spec
+    monkeypatch.undo()
+    # The ell bound is the period ord_q(2), not q: 2 has order 1741 mod 1002817.
+    code, out, _ = run(["periodic", "--seq", "ell:q=1002817,A=1"])
+    assert code == 0 and out.splitlines()[1].startswith("1741,1,1002817,")
+
+
 def test_periodic_legendre():
     code, out, _ = run(["periodic", "--seq", "legendre:p=19", "--format", "json"])
     assert code == 0

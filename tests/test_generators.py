@@ -2,6 +2,8 @@
 
 import math
 import random
+import time
+import tracemalloc
 
 import pytest
 
@@ -40,7 +42,7 @@ from seqlab.generators import (
 from seqlab.numtheory import is_prime, multiplicative_order
 from seqlab.seqcore import Word, write_bits
 
-from referees import legendre_symbol
+from referees import legendre_euler_word, legendre_symbol
 
 
 # Run-length oracle: overlapping occurrences of the all-ones block of
@@ -194,6 +196,45 @@ def test_legendre_word_tests_primality_once(monkeypatch):
         w = legendre_word(p, f, 3 * p)
         assert calls == [p]
         assert list(w) == [1 if legendre_symbol(f(i), p) == 1 else 0 for i in range(3 * p)], (p, f)
+
+
+LEGENDRE_POLYS = (
+    IDENTITY,
+    PolySpec((1, 0, 1)),  # n^2 + 1
+    PolySpec((-4, 1)),  # n - 4, negative at the start
+    PolySpec((3, 2, 0, 5)),  # 5n^3 + 2n + 3
+    PolySpec((2,)),  # constant
+)
+
+
+def test_legendre_word_matches_euler_referee_on_both_sides_of_the_table_switch():
+    sides = set()
+    for p in range(3, 400, 2):
+        if not is_prime(p):
+            continue
+        for f in LEGENDRE_POLYS:
+            for n in (0, 1, p - 1, p, p + 1, 3 * p):
+                assert list(legendre_word(p, f, n)) == legendre_euler_word(p, f, n), (p, f, n)
+                sides.add(p <= generators._SQUARE_TABLE_RATIO * n)
+    assert sides == {False, True}
+    p = 2**61 - 1
+    for f in LEGENDRE_POLYS:
+        assert list(legendre_word(p, f, 16)) == legendre_euler_word(p, f, 16), f
+
+
+def test_legendre_word_huge_prime_short_prefix_allocates_nothing_p_sized():
+    p = 2305843009213693951  # 2^61 - 1
+    tracemalloc.start()
+    try:
+        t = time.perf_counter()
+        w = legendre_word(p, IDENTITY, 16)
+        elapsed = time.perf_counter() - t
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(w) == 16 and w[0] == 0
+    assert peak < 1 << 16
+    assert elapsed < 0.5
 
 
 def test_legendre_period():

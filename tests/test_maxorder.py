@@ -5,11 +5,12 @@ import random
 
 import pytest
 
-from referees import coset_width
+from referees import coset_orbit, coset_width
 from seqlab.config import oracle_bound
 from seqlab.errors import NotEllModulus, OracleBoundExceeded
 from seqlab.generators import fcsr_word
 from seqlab.maxorder import (
+    _orbit,
     coset,
     ell_moduli,
     ell_period,
@@ -124,6 +125,19 @@ def test_coset_structure():
     assert c.elements == frozenset({3, 6, 12, 24, 17})
     for x in c.elements:
         assert (2 * x) % 31 in c.elements
+
+
+def test_orbit_lists_the_set_loop_orbit_in_walk_order():
+    for q in range(1, 258, 2):
+        for a in range(q):
+            if math.gcd(a, q) != 1:
+                continue
+            orbit = _orbit(a, q)
+            assert len(orbit) == len(set(orbit)), (a, q)
+            assert set(orbit) == coset_orbit(a, q), (a, q)
+            assert orbit[0] == a % q
+            assert all(orbit[i + 1] == orbit[i] * 2 % q for i in range(len(orbit) - 1)), (a, q)
+            assert coset(a, q).elements == frozenset(orbit)
 
 
 def test_moc_from_coset_known():

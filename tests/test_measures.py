@@ -6,15 +6,19 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqlab.errors import BoundExceeded
+from referees import linear_complexity_bm
+from seqlab.errors import BoundExceeded, TooShort
 from seqlab.generators import (
+    IDENTITY,
     fcsr_word,
+    legendre_period,
     lfsr_period,
     rudin_shapiro_word,
     thue_morse_word,
     zeckendorf_word,
 )
 from seqlab.maxorder import moc, moc_profile
+from seqlab.numtheory import is_prime
 from seqlab.measures import (
     correlation2,
     correlation2_profile,
@@ -109,6 +113,54 @@ def test_linear_complexity_periodic():
         got = linear_complexity_periodic(period)
         s = PeriodicSequence.from_word(period)
         assert got == linear_oracle(list(s.prefix(2 * len(period))))
+
+
+def test_linear_complexity_periodic_matches_bm_on_every_short_period():
+    for T in range(1, 13):
+        for v in range(1 << T):
+            bits = [(v >> i) & 1 for i in range(T)]
+            assert linear_complexity_periodic(Word(bits)) == linear_complexity_bm(bits), bits
+
+
+def test_linear_complexity_periodic_matches_bm_on_random_long_periods():
+    rng = random.Random(4000)
+    for _ in range(500):
+        period = random_word(rng, rng.randrange(1, 4000))
+        assert linear_complexity_periodic(period) == linear_complexity_bm(period), period
+
+
+def test_linear_complexity_periodic_edge_periods():
+    for T in (1, 2, 3, 64, 1000, 4095):
+        for bits, want in (
+            (bytes(T), 0),  # all zeros
+            (b"\1" * T, 1),  # all ones: s_{i+1} = s_i
+            (b"\1" + bytes(T - 1), T),  # 1 then zeros, the impulse of period T
+            (bytes(T - 1) + b"\1", T),  # a single 1 at the end
+            (bytes(T // 2) + b"\1" + bytes(T - T // 2 - 1), T),  # a single 1 inside
+        ):
+            assert linear_complexity_periodic(Word(bits)) == want == linear_complexity_bm(bits), (T, bits[:8])
+    with pytest.raises(TooShort):
+        linear_complexity_periodic(Word(b""))
+
+
+def test_linear_complexity_periodic_is_the_same_for_any_period():
+    # The formula needs no least period: repeating the word changes nothing.
+    rng = random.Random(7)
+    for _ in range(50):
+        period = random_word(rng, rng.randrange(1, 40))
+        want = linear_complexity_periodic(period)
+        for k in (2, 3, 5):
+            assert linear_complexity_periodic(Word(period.bits * k)) == want
+
+
+def test_linear_complexity_of_legendre_sequences_closed_form():
+    # Ding, Helleseth and Shan (IEEE Trans. Inf. Theory 44, 1998), with bit 1
+    # on the nonzero squares and bit 0 at multiples of p.
+    closed = {1: lambda p: (p - 1) // 2, 3: lambda p: p, 5: lambda p: p - 1, 7: lambda p: (p + 1) // 2}
+    for p in range(3, 3000, 2):
+        if is_prime(p):
+            period = legendre_period(p, IDENTITY).word
+            assert linear_complexity_periodic(period) == closed[p % 8](p), p
 
 
 def corr_naive(bits, k):
