@@ -4,15 +4,15 @@ Periodic: the connection integer q of one period (gcd formula); the
 complexity is log2(q). Aperiodic: the exact minimum over odd q of
 max(|f|, |q|) subject to q * S = f (mod 2^N), where S is the base-2 value
 of the length-N prefix. The admissible pairs form a rank-2 lattice, so the
-minimum is read from a reduced basis. At one length (adic_min,
-adic_minima) the basis comes from an extended Euclid on (2^N, S) stopped at
-the crossover, the 2-adic form of rational reconstruction, run as Lehmer's
-Euclid on long rows, and a bounded enumeration yields the canonical
-tie-broken pair. For every prefix
-(adic_profile) the basis is carried bit by bit with its residues, updated
-by shift and add and kept reduced in the sup norm, so mu is read off a
-basis vector with no enumeration. An exhaustive oracle anchors exactness
-at small N.
+minimum is read from a basis reduced in the sup norm: mu is |u| when uq is
+odd and |v| otherwise. At one length (adic_min, adic_minima) the basis
+comes from an extended Euclid on (2^N, S) stopped at the crossover, the
+2-adic form of rational reconstruction, run as Lehmer's Euclid on long
+rows; one Gauss reduction with closed-form multipliers finishes it, and the
+canonical tie-broken pair is the least of u, v, u + v and u - v. For every
+prefix (adic_profile) the basis is carried bit by bit with its residues,
+updated by shift and add and kept reduced one step at a time. An
+exhaustive oracle anchors exactness at small N.
 """
 
 from __future__ import annotations
@@ -85,112 +85,11 @@ def phi2(s: PeriodicSequence) -> AdicValue:
 
 def phi2_symmetric(s: PeriodicSequence) -> AdicValue:
     """Reversal-invariant variant: the smaller connection integer of the
-    sequence and its reversed period."""
+    sequence and its reversed period. cli._periodic_text applies the same
+    rule to connections it already holds."""
     q_fwd = connection(s).q
     q_rev = connection(reverse_period(s.normalized())).q
     return AdicValue(min(q_fwd, q_rev))
-
-
-class _Lattice:
-    """Reduced basis for {(f, q): f = q*S (mod 2^n)}, u the shorter vector,
-    built at one length by euclid()."""
-
-    __slots__ = ("n", "s", "uf", "uq", "vf", "vq")
-
-    def __init__(self):
-        self.n = 0
-        self.s = 0
-        self.uf, self.uq = 1, 0
-        self.vf, self.vq = 0, 1
-
-    @classmethod
-    def euclid(cls, s: int, n: int) -> "_Lattice":
-        """Reduced basis at length n from S = s mod 2^n in one pass.
-
-        Rows (r, t) of the extended Euclid on (2^n, S) all satisfy
-        r = t*S (mod 2^n), and consecutive rows span the lattice. Past the
-        row where |r| first drops to |t| or below, the rows only grow, so
-        the two rows there are a basis close to reduced; one Lagrange
-        reduction finishes it.
-        """
-        lat = cls()
-        lat.n = n
-        lat.s = s
-        lat._reduce(*_euclid_rows(s, n))
-        return lat
-
-    def _reduce(self, uf: int, uq: int, vf: int, vq: int) -> None:
-        """Store the Lagrange-reduced form of the basis (u, v)."""
-        nu = uf * uf + uq * uq
-        nv = vf * vf + vq * vq
-        while True:
-            if nu > nv:
-                uf, uq, vf, vq, nu, nv = vf, vq, uf, uq, nv, nu
-            dot = uf * vf + uq * vq
-            r = (2 * dot + nu) // (2 * nu)
-            if r == 0:
-                break
-            vf -= r * uf
-            vq -= r * uq
-            nv = vf * vf + vq * vq
-        self.uf, self.uq, self.vf, self.vq = uf, uq, vf, vq
-
-    def minimize(self) -> ApproxPair:
-        """Exact odd-q sup-norm minimum at the current n.
-
-        Seeds an incumbent (the q = 1 pair plus small basis combinations),
-        then walks the coefficient of the longer basis vector outward; the
-        Cramer bound |y| <= mu*(|uf| + |uq|)/2^n shrinks as the incumbent
-        improves, so the walk terminates. Per coefficient, the sup-norm is
-        quasi-convex in the other coefficient, so a constant window around
-        its critical points suffices. The tie rule (mu, then q, then |f|,
-        then positive f) has a unique optimum, making the result canonical.
-        """
-        n = self.n
-        if n == 0:
-            raise ValueError("no bits consumed")
-        full = 1 << n
-        half = full >> 1
-        s = self.s
-        uf, uq, vf, vq = self.uf, self.uq, self.vf, self.vq
-
-        f0 = s if s <= half else s - full
-        best_key = (max(abs(f0), 1), 1, abs(f0), 0 if f0 >= 0 else 1)
-        best = (f0, 1)
-
-        def consider(f: int, q: int) -> None:
-            nonlocal best_key, best
-            if not q & 1:
-                return
-            if q < 0:
-                f, q = -f, -q
-            af = -f if f < 0 else f
-            mu = af if af > q else q
-            key = (mu, q, af, 0 if f >= 0 else 1)
-            if key < best_key:
-                best_key = key
-                best = (f, q)
-
-        for x in range(-2, 3):
-            for y in range(-2, 3):
-                consider(x * uf + y * vf, x * uq + y * vq)
-
-        wsum = abs(uf) + abs(uq)
-        ay = 0
-        while True:
-            if ay > best_key[0] * wsum // full:
-                break
-            for y in (0,) if ay == 0 else (ay, -ay):
-                cf = y * vf
-                cq = y * vq
-                for x in _x_candidates(cf, cq, uf, uq):
-                    consider(cf + x * uf, cq + x * uq)
-            ay += 1
-            if ay > 2_000_000:
-                raise AssertionError("enumeration failed to converge")
-
-        f, q = best
-        return _checked_pair(f, q, n, s)
 
 
 def _euclid_rows(s: int, n: int) -> tuple[int, int, int, int]:
@@ -240,28 +139,103 @@ def _checked_rows(n: int, r0: int, t0: int, r1: int, t1: int) -> tuple[int, int,
     return r0, t0, r1, t1
 
 
-def _x_candidates(cf: int, cq: int, uf: int, uq: int) -> set[int]:
-    # Integer windows around the kinks and crossings of
-    # x -> max(|cf + x*uf|, |cq + x*uq|); width 2 covers both parities.
-    cands = {-1, 0, 1}
+def _sup_gauss(uf: int, uq: int, vf: int, vq: int) -> tuple[int, int, int, int]:
+    """Sup-norm Gauss reduction of the two Euclid stopping rows: returns a
+    basis u, v of the same lattice with |u| <= |v| <= |v + k*u| for every
+    integer k.
 
-    def around(num: int, den: int) -> None:
+    After ordering the rows so |u| <= |v|, one step replaces v by the best
+    v - k*u. x -> |v - x*u| is convex and piecewise linear with its kinks at
+    vf/uf, vq/uq, (vf - vq)/(uf - uq) and (vf + vq)/(uf + uq), so its least
+    value over the integers is at floor or floor + 1 of one of them; ties go
+    to the least |vq - k*uq|. One step suffices on these rows: r0 > r1 >= 0
+    and t0, t1 differ in sign (or t0 = 0), so no v - k*u is shorter than u
+    and Gauss's algorithm would stop after it. The result is rechecked with
+    _sup_reduced. This is the closed form of adic_profile's step-at-a-time
+    walk, which would take about 2^47 steps on the Euclid rows of S = 2^14
+    at N = 75.
+    """
+    if max(abs(uf), abs(uq)) > max(abs(vf), abs(vq)):
+        uf, uq, vf, vq = vf, vq, uf, uq
+    best = None
+    for num, den in ((vf, uf), (vq, uq), (vf - vq, uf - uq), (vf + vq, uf + uq)):
         if den:
             t = num // den
-            cands.update((t - 2, t - 1, t, t + 1, t + 2))
+            for k in (t, t + 1):
+                wf, wq = vf - k * uf, vq - k * uq
+                key = (max(abs(wf), abs(wq)), abs(wq))
+                if best is None or key < best[0]:
+                    best = (key, wf, wq)
+    _, vf, vq = best
+    # Recheck the reduction on every call; a failure here is a bug.
+    if not _sup_reduced(uf, uq, vf, vq):
+        raise AssertionError("Euclid rows not sup-norm reduced in one step")
+    return uf, uq, vf, vq
 
-    around(-cf, uf)
-    around(-cq, uq)
-    around(cq - cf, uf - uq)
-    around(-(cf + cq), uf + uq)
-    return cands
+
+def _sup_reduced(uf: int, uq: int, vf: int, vq: int) -> bool:
+    """|u| <= |v| <= |v - u|, |v + u|; by convexity of k -> |v + k*u| this
+    is |u| <= |v| <= |v + k*u| for every integer k."""
+    nu, nv = max(abs(uf), abs(uq)), max(abs(vf), abs(vq))
+    return nu <= nv <= min(max(abs(vf - uf), abs(vq - uq)), max(abs(vf + uf), abs(vq + uq)))
+
+
+def _canonical_pair(uf: int, uq: int, vf: int, vq: int, n: int, s: int) -> ApproxPair:
+    """The canonical pair at length n from a basis (u, v) of
+    {(f, q): f = q*S (mod 2^n)} returned by _sup_gauss: the least
+    (mu, q, |f|, f < 0) over the odd-q vectors among u, v, u + v and u - v,
+    each first turned to q > 0.
+
+    Why the window holds it. Let h(x) = |v + x*u| for real x. As h(k) >= |v|
+    at every integer k, h(x) >= |v| - d*|u| with d the distance from x to
+    the nearest integer, so w = a*u + b*v has |w| = |b|*h(a/b) >= |v| when
+    |b| is 1 or 2 and > 3|v|/2 when |b| >= 3: |u| and |v| are the two
+    successive minima. uq != 0: a vector with q = 0 has 2^n | f, so it is
+    longer than (S', 1), S' the least residue of S mod 2^n, whose norm is at
+    most 2^(n-1).
+    - uq odd: mu = |u|. If |v| > |u|, the minimisers are +-u. If |v| = |u|,
+      (v, u) is reduced too, so a minimiser has |a|, |b| <= 2. Were |b| = 2,
+      then h(a/2) = |u|/2 with a odd, and y = v + (a+1)/2*u, y' = y - u
+      would have |y| = |y'| = |y + y'| = |y - y'| = |u|. Per coordinate,
+      max(|y_i + y'_i|, |y_i - y'_i|) = |y_i| + |y'_i|, so y and y' would be
+      |u| times distinct unit vectors and the lattice |u|*Z^2. Every q
+      would be a multiple of |u|, so |u| = 1 as (S, 1) is in the lattice,
+      and its determinant would be 1, not 2^n. |a| = 2 is the same with u
+      and v swapped.
+    - uq even: vq is odd, as (S, 1) is in the span, so odd-q vectors have
+      odd b, mu = |v| and the minimisers are +-(v + k*u) with h(k) = h(0).
+      h is piecewise linear with slopes +-uf, +-uq. If uf != 0 it is flat
+      nowhere, so its least integer value is at one or two consecutive
+      integers and k is in {-1, 0, 1}. If uf = 0 (the flats), every
+      v + k*u has |f| = |vf|, and the tie rule gave v the least
+      |q| = |vq + k*uq| over all k, as the integers nearest vq/uq are among
+      its candidates; another k with the same |q| has |k*uq| = 2|vq| <= |uq|,
+      so k = +-1.
+    The argument is needed: minimisers outside the window do occur (114 of
+    the 8,190 cases (S, N) with N <= 12), but never the canonical one.
+    """
+    best = None
+    for f, q in ((uf, uq), (vf, vq), (uf + vf, uq + vq), (uf - vf, uq - vq)):
+        if q & 1:
+            if q < 0:
+                f, q = -f, -q
+            key = (max(abs(f), q), q, abs(f), f < 0)
+            if best is None or key < best[0]:
+                best = (key, f, q)
+    return _checked_pair(best[1], best[2], n, s)
+
+
+def _min_pair(s: int, n: int) -> ApproxPair:
+    # The Euclid rows (r, t) all satisfy r = t*S (mod 2^n), and the two
+    # stopping rows span the lattice.
+    return _canonical_pair(*_sup_gauss(*_euclid_rows(s, n)), n, s)
 
 
 def adic_min(w: Word, n: int) -> ApproxPair:
     """Exact aperiodic minimum for the length-n prefix of w."""
     if not 1 <= n <= len(w):
         raise ValueError(f"need 1 <= n <= {len(w)}, got {n}")
-    return _Lattice.euclid(prefix_value(w, n), n).minimize()
+    return _min_pair(prefix_value(w, n), n)
 
 
 def adic_minima(w: Word, ns: list[int]) -> list[ApproxPair]:
@@ -272,12 +246,11 @@ def adic_minima(w: Word, ns: list[int]) -> list[ApproxPair]:
     point runs its own extended Euclid on (2^n, S), still quadratic in n
     whatever the other points are (a Lehmer round passes over the long
     rows once for about 16 quotients of a random S: 3x faster than one
-    division per quotient at n = 10^4, 13x at 3*10^5), which suits sparse
-    grids such as a scan's. Dense ns repeat that work at every length: for
-    all lengths of a random word this is about 37x slower than
-    adic_profile at N = 1000, 73x at 2000 and 150x at 4000, so callers
-    that want only mu at every prefix should use adic_profile, which
-    carries one basis bit by bit.
+    division per quotient at n = 10^4, 13x at 3*10^5), then one sup-norm
+    reduction and a four-vector readout, which suits sparse grids such as
+    a scan's. Dense ns repeat the Euclid at every length, so callers that
+    want only mu at every prefix should use adic_profile, which carries one
+    basis bit by bit.
     """
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("prefix lengths must be strictly increasing")
@@ -286,7 +259,7 @@ def adic_minima(w: Word, ns: list[int]) -> list[ApproxPair]:
     if not 1 <= ns[0] <= ns[-1] <= len(w):
         raise ValueError(f"prefix lengths must lie in [1, {len(w)}]")
     s = prefix_value(w, ns[-1])
-    return [_Lattice.euclid(s & ((1 << n) - 1), n).minimize() for n in ns]
+    return [_min_pair(s & ((1 << n) - 1), n) for n in ns]
 
 
 def adic_profile(w: Word) -> Profile:
@@ -364,8 +337,7 @@ def _check_profile_basis(w: Word, uf: int, uq: int, vf: int, vq: int) -> None:
     _checked_pair(f, q, n, s)
     if (oq * s - of) % (1 << n) or abs(uf * vq - uq * vf) != 1 << n:
         raise AssertionError(f"profile basis does not span the lattice at N = {n}")
-    nu, nv = max(abs(uf), abs(uq)), max(abs(vf), abs(vq))
-    if not nu <= nv <= min(max(abs(vf - uf), abs(vq - uq)), max(abs(vf + uf), abs(vq + uq))):
+    if not _sup_reduced(uf, uq, vf, vq):
         raise AssertionError(f"profile basis not sup-norm reduced at N = {n}")
 
 

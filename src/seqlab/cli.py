@@ -18,7 +18,7 @@ from . import adic, generators, maxorder, measures, numtheory, relations
 from .config import oracle_bound
 from .errors import BoundExceeded, InvalidParameter, ParseError, SeqLabError
 from .generators import PolySpec, SeqSpec
-from .seqcore import write_bits
+from .seqcore import reverse_period, write_bits
 
 # Cost caps, checked before any work starts; the library itself is uncapped.
 # A scan runs one Euclid and one minimum per grid point, each quadratic in
@@ -232,9 +232,12 @@ def _analyze_text(spec: SeqSpec, nmax: int, names: tuple[str, ...], fmt: str) ->
 
 def _periodic_text(spec: SeqSpec, fmt: str) -> str:
     s = generators.periodic_sequence(spec)
+    # One connection each for the sequence and its reversal: phi2 and
+    # phi2_symmetric would rebuild the forward one twice more. The min
+    # below is adic.phi2_symmetric's rule.
     rep = adic.connection(s)
-    phi = adic.phi2(s)
-    sym = adic.phi2_symmetric(s)
+    phi = adic.AdicValue(rep.q)
+    sym = adic.AdicValue(min(rep.q, adic.connection(reverse_period(s)).q))
     m = maxorder.moc_periodic(s)
     lin = measures.linear_complexity_periodic(s.word)
     if fmt == "json":

@@ -56,6 +56,113 @@ def euclid_rows(s: int, n: int) -> tuple[int, int, int, int]:
     return r0, t0, r1, t1
 
 
+class Lattice:
+    """Basis (u, v) of {(f, q): f = q*S (mod 2^n)}, kept Lagrange-reduced in
+    the Euclidean norm, u the shorter vector; built at one length by
+    euclid(), or bit by bit from the empty word (n = 0, S = 0)."""
+
+    def __init__(self):
+        self.n = 0
+        self.s = 0
+        self.uf, self.uq = 1, 0
+        self.vf, self.vq = 0, 1
+
+    @classmethod
+    def euclid(cls, s: int, n: int) -> "Lattice":
+        """The basis at length n from the two stopping rows of the
+        schoolbook Euclid on (2^n, s), Lagrange-reduced."""
+        lat = cls()
+        lat.n = n
+        lat.s = s
+        lat.reduce(*euclid_rows(s, n))
+        return lat
+
+    def reduce(self, uf: int, uq: int, vf: int, vq: int) -> None:
+        """Store the Lagrange-reduced form of the basis (u, v)."""
+        nu = uf * uf + uq * uq
+        nv = vf * vf + vq * vq
+        while True:
+            if nu > nv:
+                uf, uq, vf, vq, nu, nv = vf, vq, uf, uq, nv, nu
+            dot = uf * vf + uq * vq
+            r = (2 * dot + nu) // (2 * nu)
+            if r == 0:
+                break
+            vf -= r * uf
+            vq -= r * uq
+            nv = vf * vf + vq * vq
+        self.uf, self.uq, self.vf, self.vq = uf, uq, vf, vq
+
+    def minimize(self) -> tuple[int, int, int, int]:
+        """The canonical pair (f, q, n, mu) at the current n: the least
+        (mu, q, |f|, f < 0) over odd q > 0.
+
+        Seeds an incumbent (the q = 1 pair plus small basis combinations),
+        then walks the coefficient y of the longer basis vector outward; the
+        Cramer bound |y| <= mu*(|uf| + |uq|)/2^n shrinks as the incumbent
+        improves, so the walk terminates. Per y, the sup norm is
+        quasi-convex in the other coefficient, so a constant window around
+        its kinks and crossings suffices.
+        """
+        n = self.n
+        if n == 0:
+            raise ValueError("no bits consumed")
+        full = 1 << n
+        half = full >> 1
+        s = self.s
+        uf, uq, vf, vq = self.uf, self.uq, self.vf, self.vq
+
+        f0 = s if s <= half else s - full
+        best_key = (max(abs(f0), 1), 1, abs(f0), 0 if f0 >= 0 else 1)
+        best = (f0, 1)
+
+        def consider(f: int, q: int) -> None:
+            nonlocal best_key, best
+            if not q & 1:
+                return
+            if q < 0:
+                f, q = -f, -q
+            key = (max(abs(f), q), q, abs(f), 0 if f >= 0 else 1)
+            if key < best_key:
+                best_key = key
+                best = (f, q)
+
+        for x in range(-2, 3):
+            for y in range(-2, 3):
+                consider(x * uf + y * vf, x * uq + y * vq)
+
+        wsum = abs(uf) + abs(uq)
+        ay = 0
+        while ay <= best_key[0] * wsum // full:
+            for y in (0,) if ay == 0 else (ay, -ay):
+                cf = y * vf
+                cq = y * vq
+                for x in _x_candidates(cf, cq, uf, uq):
+                    consider(cf + x * uf, cq + x * uq)
+            ay += 1
+
+        f, q = best
+        assert q > 0 and q & 1 and (q * s - f) % full == 0, (f, q, n)
+        return f, q, n, best_key[0]
+
+
+def _x_candidates(cf: int, cq: int, uf: int, uq: int) -> set[int]:
+    # Integer windows around the kinks and crossings of
+    # x -> max(|cf + x*uf|, |cq + x*uq|); width 2 covers both parities.
+    cands = {-1, 0, 1}
+
+    def around(num: int, den: int) -> None:
+        if den:
+            t = num // den
+            cands.update((t - 2, t - 1, t, t + 1, t + 2))
+
+    around(-cf, uf)
+    around(-cq, uq)
+    around(cq - cf, uf - uq)
+    around(-(cf + cq), uf + uq)
+    return cands
+
+
 def coset_orbit(a: int, q: int) -> set[int]:
     """The doubling orbit of a mod q, walked until an element repeats."""
     orbit = set()

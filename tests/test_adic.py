@@ -1,16 +1,19 @@
-"""2-adic machinery: lattice minimizer against the exhaustive oracle."""
+"""2-adic machinery. adic_min and adic_minima (Euclid rows, one sup-norm
+reduction, a four-vector readout) against the exhaustive oracle and against
+the referee that Lagrange-reduces and enumerates; adic_profile's carried
+basis against the referee pushed bit by bit; periodic connections."""
 
 import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from referees import euclid_rows
+from referees import Lattice, euclid_rows
 
 import seqlab.adic as adic
 from seqlab.adic import (
     AdicValue,
-    _Lattice,
+    ApproxPair,
     adic_min,
     adic_minima,
     adic_oracle,
@@ -109,17 +112,25 @@ def push(lat, bit):
         vf, vq = 2 * vf, 2 * vq
     lat.n = n + 1
     lat.s = s2
-    lat._reduce(uf, uq, vf, vq)
+    lat.reduce(uf, uq, vf, vq)
 
 
 def pushed_pairs(w):
     """Reference pairs at every prefix from the bit-by-bit lattice."""
-    lat = _Lattice()
+    lat = Lattice()
     out = []
     for bit in w:
         push(lat, bit)
-        out.append(lat.minimize())
+        out.append(ApproxPair(*lat.minimize()))
     return out
+
+
+def referee_pair(s, n):
+    return ApproxPair(*Lattice.euclid(s, n).minimize())
+
+
+def word_of(s, n):
+    return Word(bytes((s >> i) & 1 for i in range(n)))
 
 
 def test_euclid_matches_pushed_lattice_exhaustive():
@@ -143,11 +154,45 @@ def test_euclid_matches_pushed_lattice_random_long():
         assert adic_minima(w, ns) == [ref[n - 1] for n in ns]
         for n in ns[-2:]:
             assert adic_min(w, n) == ref[n - 1]
-            lat = _Lattice.euclid(prefix_value(w, n), n)
-            nu = lat.uf**2 + lat.uq**2
-            assert nu <= lat.vf**2 + lat.vq**2
-            assert abs(2 * (lat.uf * lat.vf + lat.uq * lat.vq)) <= nu
-            assert abs(lat.uf * lat.vq - lat.uq * lat.vf) == 1 << n
+            uf, uq, vf, vq = adic._sup_gauss(*adic._euclid_rows(prefix_value(w, n), n))
+            assert adic._sup_reduced(uf, uq, vf, vq)
+            assert abs(uf * vq - uq * vf) == 1 << n
+
+
+def test_adic_min_matches_referee_exhaustive():
+    for n in range(1, 17):
+        for s in range(1 << n):
+            assert adic_min(word_of(s, n), n) == referee_pair(s, n), (s, n)
+
+
+def test_adic_min_matches_referee_random_sparse_cosparse_long():
+    rng = random.Random(39)
+    for i in range(1500):
+        n = rng.randrange(1, 3001)
+        sparse = 0
+        for _ in range(rng.randrange(1, 6)):
+            sparse |= 1 << rng.randrange(n)
+        s = (rng.getrandbits(n), sparse, ((1 << n) - 1) ^ sparse)[i % 3]
+        assert adic_min(word_of(s, n), n) == referee_pair(s, n), (i, n)
+
+
+def test_adic_min_flat_cases_match_oracle():
+    # S = 2^(N-1) and S with at least N/2 trailing zeros, where the reduced
+    # u has uf = 0 and x -> |v + x*u| is flat over more than two integers:
+    # only the tie rule of the reduction keeps the canonical pair in the
+    # readout window there.
+    rng = random.Random(40)
+    flats = 0
+    for n in range(1, 21):
+        t = (n + 1) // 2
+        highs = range(1 << (n - t)) if n <= 14 else rng.sample(range(1 << (n - t)), 6)
+        for s in sorted({1 << (n - 1), *(h << t for h in highs)}):
+            w = word_of(s, n)
+            assert adic_min(w, n) == adic_oracle(w, n), (s, n)
+            uf, uq, vf, vq = adic._sup_gauss(*adic._euclid_rows(s, n))
+            h = [max(abs(vf + k * uf), abs(vq + k * uq)) for k in (-1, 0, 1)]
+            flats += uf == 0 and h[0] == h[1] == h[2]
+    assert flats > 100
 
 
 def test_euclid_rows_match_schoolbook_exhaustive():
@@ -304,7 +349,8 @@ def test_connection_known_pairs():
 
 
 def test_connection_identity():
-    # q * S_T + A = 0 mod 2^T - 1 encodes S = -A/q with odd q | 2^T - 1.
+    # The sequence is -A/q 2-adically: q times any prefix plus A vanishes
+    # modulo 2 to the prefix length.
     rng = random.Random(34)
     for _ in range(60):
         T = rng.randrange(1, 14)
@@ -313,11 +359,10 @@ def test_connection_identity():
         assert rep.q % 2 == 1 and rep.q >= 1
         assert 0 <= rep.A <= rep.q
         assert math.gcd(rep.A, rep.q) == 1
-        val = s.word.value() if not s.least else prefix_value(s.prefix(s.T))
-        assert (rep.A * ((1 << s.T) - 1)) % rep.q == (rep.q - val * rep.q + val * rep.q) % rep.q or True
-        # Direct check: A / q = val / (2^T - 1) as reduced fractions.
-        denom = (1 << s.T) - 1
-        assert rep.A * denom == val * rep.q
+        n = 3 * s.T
+        assert (rep.q * prefix_value(s.prefix(n), n) + rep.A) % (1 << n) == 0
+        # A/q = val/(2^T - 1) as fractions, val the period's value.
+        assert rep.A * ((1 << s.T) - 1) == prefix_value(s.prefix(s.T)) * rep.q
 
 
 def test_phi2_values():

@@ -10,6 +10,7 @@ import time
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import seqlab.adic as adic
 import seqlab.generators as generators
 import seqlab.relations as relations
 from seqlab.adic import adic_min
@@ -319,6 +320,46 @@ def test_periodic_outputs_pinned():
             code, out, _ = run(["periodic", "--seq", spec, "--format", fmt])
             assert code == 0
             assert hashlib.sha256(out.encode()).hexdigest() == digest, (spec, fmt)
+
+
+def test_periodic_builds_one_connection_each_way(monkeypatch):
+    # phi2 and phi2_symmetric read the sequence's own connection; only the
+    # reversal needs a second one.
+    calls = []
+    real = adic.connection
+    monkeypatch.setattr(adic, "connection", lambda s: calls.append(s.word.to01()) or real(s))
+    for spec in ("legendre:p=1009", "ell:q=31,A=5"):
+        calls.clear()
+        code, _, _ = run(["periodic", "--seq", spec])
+        assert code == 0
+        assert len(calls) == 2 and calls[1] == calls[0][::-1], spec
+
+
+def test_periodic_phi2_columns_match_the_library(tmp_path):
+    # periodic applies phi2_symmetric's rule to the connections it holds;
+    # the columns must stay those of adic.phi2 and adic.phi2_symmetric.
+    # The file's period has q = 511 and its reversal q = 73.
+    bits = tmp_path / "period.bits"
+    bits.write_text("010010011\n")
+    reversal_smaller = 0
+    for spec in (
+        f"file:path={bits}",
+        "legendre:p=1009",
+        "legendre:p=7,f=n^2+1",
+        "ell:q=31,A=5",
+        "ell:q=37,A=3",
+        "ell:q=2861,A=1",
+        "lfsr:taps=0.1.6.10,seed=1.0.0.0.0.0.0.0.0.0.1",
+        "lfsr:taps=0.1,seed=0.1",
+    ):
+        code, out, _ = run(["periodic", "--seq", spec, "--format", "json"])
+        assert code == 0
+        row = json.loads(out)
+        s = generators.periodic_sequence(parse_seqspec(spec))
+        assert row["phi2"] == f"{adic.phi2(s).log2:.6f}", spec
+        assert row["phi2_symmetric"] == f"{adic.phi2_symmetric(s).log2:.6f}", spec
+        reversal_smaller += row["phi2_symmetric"] != row["phi2"]
+    assert reversal_smaller
 
 
 def test_periodic_period_cap_exits_2_before_building(monkeypatch):
