@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -32,10 +33,12 @@ MAX_GRID_POINTS = 400
 # its output grows as N^2: 3.6 s, 200 MB peak and 74 MB written at 32000
 # (Thue-Morse, 2-core container), against 85 s and 1.7 GB at 100000.
 MAX_ANALYZE_BITS = 32_000
-# periodic builds a suffix automaton over 2T - 1 bits and runs gcds on T-bit
+# periodic grows a suffix automaton over the first T + M bits (M the
+# maximum-order complexity, so at most 2T - 1) and runs gcds on T-bit
 # numbers and polynomials, so it grows a little faster than T: legendre at
-# p = 999983 takes 34 s and 379 MB peak (2-core container). The family's
-# period bound (p, ord_q(2), 2^r - 1) is checked before anything is built.
+# p = 999983 takes 25 s and 227 MB peak (2-core container); the automaton
+# takes 2.3 s of that and sets the peak. The family's period bound (p,
+# ord_q(2), 2^r - 1) is checked before anything is built.
 MAX_PERIOD = 1_000_000
 
 # ---------------------------------------------------------------------------
@@ -328,6 +331,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on its first call rather than at import:
+    building one costs about a millisecond (a help formatter per argument),
+    and parse_args leaves the parser as it found it."""
+    return build_parser()
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -395,7 +406,7 @@ def _dispatch(args) -> int:
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # exact integers print at any size
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _dispatch(args)
     except SeqLabError as exc:

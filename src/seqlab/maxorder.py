@@ -1,13 +1,14 @@
 """Maximum-order complexity: the shortest window length whose successor map
-is single-valued over the word, read from one suffix automaton (value,
-witness and per-prefix profile), plus its number-theoretic shortcuts for
-carry-register sequences."""
+is single-valued over the word, read from one suffix automaton while it
+grows. The running value gives the per-prefix profile and, for a periodic
+sequence, stops the growth as soon as the value is settled; the finished
+automaton gives the value with a two-occurrence witness. Plus the
+number-theoretic shortcuts for carry-register sequences."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .config import oracle_bound
 from .errors import NotCoprime, NotEllModulus, OracleBoundExceeded
@@ -37,14 +38,15 @@ class MocResult:
 
 
 class _Sam:
-    """Suffix automaton over the binary alphabet.
+    """Suffix automaton over the binary alphabet, with the running
+    maximum-order complexity of the prefix fed so far.
 
     end[state] is the first position where the state's strings end (a clone
-    inherits it from the state it splits), which is all the witness and
-    profile readouts need.
+    inherits it from the state it splits), which is all the witness readout
+    needs.
     """
 
-    __slots__ = ("next0", "next1", "link", "length", "end", "last")
+    __slots__ = ("next0", "next1", "link", "length", "end", "m")
 
     def __init__(self):
         self.next0 = [-1]
@@ -52,48 +54,69 @@ class _Sam:
         self.link = [-1]
         self.length = [0]
         self.end = [-1]
-        self.last = 0
+        self.m = 0
 
-    def extend(self, c: int, pos: int) -> None:
-        # States are appended inline: this runs once per symbol of every word.
+    def feed(self, bits: bytes, period: int | None = None) -> list[int]:
+        """Append the symbols of bits (to an automaton fed nothing yet) and
+        return M of each prefix.
+
+        M is 1 plus the longest string followed by both symbols, and such a
+        string is the longest string of its state. A state gains its second
+        transition only in the first suffix-link walk, and from then on its
+        strings are followed by both symbols, so that is where the running
+        M takes max(M, length + 1). A clone copies both transitions only
+        from a state already counted with a longer length, so it never
+        raises M.
+
+        With a period T, stop before symbol n once n >= T + M(n) (see
+        moc_periodic); the list then ends at that prefix.
+        """
+        # One loop with the lists in locals: this runs once per symbol of
+        # every word.
         next0, next1, link, length, end = self.next0, self.next1, self.link, self.length, self.end
-        nxt = next1 if c else next0
-        p = self.last
-        cur = self.last = len(length)
-        next0.append(-1)
-        next1.append(-1)
-        link.append(0)
-        length.append(length[p] + 1)
-        end.append(pos)
-        while p != -1 and nxt[p] == -1:
-            nxt[p] = cur
-            p = link[p]
-        if p == -1:
-            return
-        q = nxt[p]
-        if length[p] + 1 == length[q]:
-            link[cur] = q
-            return
-        clone = len(length)
-        next0.append(next0[q])
-        next1.append(next1[q])
-        link.append(link[q])
-        length.append(length[p] + 1)
-        end.append(end[q])
-        link[q] = link[cur] = clone
-        while p != -1 and nxt[p] == q:
-            nxt[p] = clone
-            p = link[p]
-
-
-def _branching(w: Word) -> tuple[_Sam, list[int]]:
-    """Suffix automaton of w and its right-branching states (both transitions
-    set: their strings occur followed by 0 and by 1), ascending."""
-    sam = _Sam()
-    for pos, c in enumerate(w):
-        sam.extend(c, pos)
-    next0, next1 = sam.next0, sam.next1
-    return sam, [p for p in range(len(next0)) if next0[p] != -1 and next1[p] != -1]
+        last = m = 0
+        stop = len(bits) if period is None else period
+        out = []
+        for pos, c in enumerate(bits):
+            if pos >= stop:
+                break
+            if c:
+                nxt, other = next1, next0
+            else:
+                nxt, other = next0, next1
+            p = last
+            cur = last = len(length)
+            next0.append(-1)
+            next1.append(-1)
+            link.append(0)
+            length.append(length[p] + 1)
+            end.append(pos)
+            while p != -1 and nxt[p] == -1:
+                nxt[p] = cur
+                if other[p] != -1 and length[p] >= m:
+                    m = length[p] + 1
+                    if period is not None:
+                        stop = period + m
+                p = link[p]
+            out.append(m)
+            if p == -1:
+                continue
+            q = nxt[p]
+            if length[p] + 1 == length[q]:
+                link[cur] = q
+                continue
+            clone = len(length)
+            next0.append(next0[q])
+            next1.append(next1[q])
+            link.append(link[q])
+            length.append(length[p] + 1)
+            end.append(end[q])
+            link[q] = link[cur] = clone
+            while p != -1 and nxt[p] == q:
+                nxt[p] = clone
+                p = link[p]
+        self.m = m
+        return out
 
 
 def moc(w: Word) -> MocResult:
@@ -103,37 +126,27 @@ def moc(w: Word) -> MocResult:
     valued; equivalently 1 plus the longest string that occurs followed by
     both symbols. Constant words (and the empty word) give 0.
     """
-    sam, states = _branching(w)
-    if not states:
+    sam = _Sam()
+    sam.feed(w.bits)
+    if sam.m == 0:
         return MocResult(0, None)
-    length = sam.length
-    best_state = max(states, key=length.__getitem__)  # first state on ties
-    best = length[best_state]
+    next0, next1, length = sam.next0, sam.next1, sam.length
+    best = sam.m - 1
+    # The first right-branching state of the longest branching length.
+    best_state = next(
+        p for p in range(len(length)) if length[p] == best and next0[p] != -1 and next1[p] != -1
+    )
     # The longest branching string ends where its children's occurrences end.
-    e0 = sam.end[sam.next0[best_state]]
-    e1 = sam.end[sam.next1[best_state]]
+    e0 = sam.end[next0[best_state]]
+    e1 = sam.end[next1[best_state]]
     i0, i1 = e0 - best, e1 - best
     return MocResult(best + 1, MocWitness(min(i0, i1), max(i0, i1), best))
 
 
 def moc_profile(w: Word) -> Profile:
-    """Per-prefix maximum-order complexity, read from one automaton of w.
-
-    A right-branching state's longest string is followed by both symbols
-    from prefix length max(end[next0], end[next1]) + 1 on, as end holds
-    first end positions; any string followed by both symbols in a prefix is
-    a suffix of such a string with the same occurrences. So the profile is
-    the running maximum of length + 1 over those times. Linear in len(w).
-    """
-    sam, states = _branching(w)
-    next0, next1, length, end = sam.next0, sam.next1, sam.length, sam.end
-    # best[t]: largest value gained at prefix length t + 1
-    best = [0] * len(w)
-    for p in states:
-        t = max(end[next0[p]], end[next1[p]])
-        if length[p] >= best[t]:
-            best[t] = length[p] + 1
-    return Profile(tuple(accumulate(best, max)))
+    """Per-prefix maximum-order complexity: the running M of one automaton
+    fed w, so linear in len(w)."""
+    return Profile(tuple(_Sam().feed(w.bits)))
 
 
 def moc_oracle(w: Word) -> MocResult:
@@ -217,10 +230,22 @@ def moc_from_coset(a: int, q: int) -> int:
 
 
 def moc_periodic(s: PeriodicSequence) -> int:
-    """Maximum-order complexity of a periodic sequence: the value stabilizes
-    at prefix length 2T - 1, so that prefix is what gets measured."""
+    """Maximum-order complexity of a periodic sequence of least period T.
+
+    The value stabilizes by prefix length 2T - 1 (M <= T - 1), and the
+    automaton is fed that prefix only until symbol n with n >= T + M(n),
+    where M(n) is the value of the first n symbols:
+    - a prefix of length T + M(n) holds every cyclic window of length
+      M(n) + 1, as the T windows starting at 0, ..., T - 1 end by then;
+    - their successor map is single-valued, since the first n symbols hold
+      them all, so M(2T - 1) <= M(n);
+    - M never decreases with the prefix length, so the two are equal.
+    The stop never comes later than 2T - 1, which is all the loop reads.
+    """
     s = s.normalized()
-    return moc(s.prefix(2 * s.T - 1)).m
+    sam = _Sam()
+    sam.feed(s.prefix(2 * s.T - 1).bits, s.T)
+    return sam.m
 
 
 # The ell moduli whose M is floor(log2 q) rather than ceil(log2 q).

@@ -1,4 +1,4 @@
-"""Exact integer number theory: gcds, primality, factorization, orders,
+"""Exact integer number theory: primality, factorization, orders,
 totients and exact base-2 logarithms.
 
 Everything here is deterministic. Primality uses the Miller-Rabin witness
@@ -19,23 +19,6 @@ FACTOR_LIMIT = 1 << 64
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _TRIAL_BOUND = 10_000
-
-
-def egcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended gcd: (g, x, y) with a*x + b*y = g = gcd(|a|, |b|) >= 0."""
-    if a == 0 and b == 0:
-        raise ValueError("egcd(0, 0) is undefined")
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
 
 
 def factorize(n: int) -> tuple[tuple[int, int], ...]:

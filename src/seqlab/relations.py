@@ -163,10 +163,8 @@ def _coset_reps(q: int):
         if seen[a] or math.gcd(a, q) != 1:
             continue
         yield a
-        b = a
-        while not seen[b]:
+        for b in maxorder._orbit(a, q):
             seen[b] = 1
-            b = b * 2 % q
 
 
 def verify_thm4(q: int) -> VerificationReport:
@@ -633,11 +631,11 @@ class ClaimSuite:
 
 
 # Every claim, each declared once, in report order. thm2 and thm6 evaluate
-# one word per rotation class, about 2^T/T per T: 2.5 s and 2.3 s at their
-# cap T = 20. lemma1 visits every word, so each step of T doubles it: 7 s at
-# its cap 16. lowerbound takes about 0.14 s at --nmax 8000, 0.4 s at 16000
-# and 1.1 s at 32000, about 3x per doubling. The caps keep one run to
-# seconds (all times single runs on a 2-core container).
+# one word per rotation class, about 2^T/T per T: 5.6 s and 5.4 s at their
+# cap T = 20 (medians of three runs). lemma1 visits every word, so each step
+# of T doubles it: 14 s at its cap 16. lowerbound takes about 0.14 s at
+# --nmax 8000, 0.24 s at 16000 and 1.0 s at 32000. The caps keep one run to
+# seconds (single runs otherwise, all on a 2-core container).
 CLAIM_SUITES = {
     "cor1": ClaimSuite(cor1_suite),
     "lemma1": ClaimSuite(lemma1_suite, "--exhaustive-T", 8, 16),

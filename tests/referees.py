@@ -191,6 +191,14 @@ def coset_width(a: int, q: int) -> int:
     raise AssertionError("unreachable: orbit elements are distinct below q")
 
 
+def moc_two_periods(period, word_moc) -> int:
+    """M of the periodic sequence with this least period (a sequence of
+    bits), read as word_moc, a callable from bytes to M, on the first
+    2T - 1 symbols, where M has settled."""
+    bits = bytes(period)
+    return word_moc((bits * 2)[: 2 * len(bits) - 1])
+
+
 def least_period_words(T: int):
     """Every word of least period T as a bit tuple (bit i of the phase value
     v is symbol i), by ascending v."""

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import seqlab.adic as adic
+import seqlab.cli as cli
 import seqlab.generators as generators
 import seqlab.relations as relations
 from seqlab.adic import adic_min
@@ -562,6 +563,30 @@ def test_error_exit_codes():
     assert code == 2
     code, _, err = run(["analyze", "--seq", "file:path=/nonexistent.bits", "--nmax", "4"])
     assert code == 2
+
+
+def test_main_builds_one_parser_and_answers_as_a_fresh_one(monkeypatch):
+    calls = (
+        ["periodic", "--seq", "ell:q=1019,A=1"],
+        ["verify", "thm5"],
+        ["periodic", "--seq", "ell:q=10,A=3"],
+        ["verify", "nonesuch"],
+        ["periodic", "--seq", "ell:q=1019,A=1", "--format", "json"],
+    )
+    cli._parser.cache_clear()
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    reused = [run(args) for args in calls]
+    assert len(built) == 1
+    monkeypatch.setattr(cli, "_parser", build)
+    fresh = [run(args) for args in calls]
+    assert len(built) == 1
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 2, 2, 0]
+    _, out, err = reused[2]
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert "invalid choice" in reused[3][2]
 
 
 def test_oracle_bound_env(monkeypatch):

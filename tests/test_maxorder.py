@@ -5,10 +5,10 @@ import random
 
 import pytest
 
-from referees import coset_orbit, coset_width
+from referees import coset_orbit, coset_width, moc_two_periods
 from seqlab.config import oracle_bound
 from seqlab.errors import NotEllModulus, OracleBoundExceeded
-from seqlab.generators import fcsr_word
+from seqlab.generators import IDENTITY, fcsr_word, legendre_period, lfsr_period
 from seqlab.maxorder import (
     _orbit,
     coset,
@@ -22,6 +22,7 @@ from seqlab.maxorder import (
     moc_profile,
 )
 from seqlab.numtheory import euler_phi, is_odd_prime_power, is_two_primitive
+from seqlab.relations import PRIMITIVE_TAPS, _coset_reps, _rotation_classes
 from seqlab.seqcore import PeriodicSequence, Word
 
 
@@ -175,6 +176,34 @@ def test_moc_periodic_stabilizes():
         m = moc_periodic(s)
         assert m == moc(s.prefix(2 * s.T)).m
         assert m == moc(s.prefix(3 * s.T + 5)).m
+
+
+def word_moc(bits):
+    return moc(Word(bits)).m
+
+
+def assert_periodic_matches_referee(s):
+    s = s.normalized()
+    assert moc_periodic(s) == moc_two_periods(s.word.bits, word_moc), s.word
+
+
+def test_moc_periodic_matches_two_period_referee_exhaustive():
+    for T in range(1, 15):
+        for w in all_words(T):
+            assert_periodic_matches_referee(PeriodicSequence.from_word(w))
+    for s in _rotation_classes(16):
+        assert_periodic_matches_referee(s)
+
+
+def test_moc_periodic_matches_two_period_referee_on_family_periods():
+    for q in range(3, 1001, 2):
+        for a in _coset_reps(q):
+            assert_periodic_matches_referee(fcsr_word(a, q))
+    for p in (1009, 5483, 20011):
+        assert_periodic_matches_referee(legendre_period(p, IDENTITY))
+    s = lfsr_period(PRIMITIVE_TAPS[14], (1,) + (0,) * 13)
+    assert s.T == 2**14 - 1
+    assert_periodic_matches_referee(s)
 
 
 def test_ell_moduli_membership():

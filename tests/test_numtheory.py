@@ -8,7 +8,6 @@ import pytest
 from seqlab.errors import NotCoprime, TooLarge
 from seqlab.numtheory import (
     ceil_log2,
-    egcd,
     euler_phi,
     factorize,
     int_log2,
@@ -30,25 +29,6 @@ def trial_division_prime(n: int) -> bool:
             return False
         d += 1
     return True
-
-
-def test_egcd_bezout():
-    rng = random.Random(1)
-    for _ in range(500):
-        a = rng.randrange(-10**9, 10**9)
-        b = rng.randrange(-10**9, 10**9)
-        g, x, y = egcd(a, b)
-        assert g == math.gcd(a, b)
-        assert a * x + b * y == g
-
-
-def test_egcd_edges():
-    with pytest.raises(ValueError):
-        egcd(0, 0)
-    g, x, y = egcd(0, 7)
-    assert g == 7 and 7 * y == 7
-    g, x, y = egcd(12, 0)
-    assert g == 12 and 12 * x == 12
 
 
 def test_factorize_reconstructs():

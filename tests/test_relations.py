@@ -7,7 +7,7 @@ import random
 import pytest
 
 import seqlab.relations as relations
-from referees import thm2_per_word, thm6_per_word
+from referees import coset_orbit, thm2_per_word, thm6_per_word
 from seqlab import adic, maxorder
 from seqlab.adic import adic_min
 from seqlab.errors import BoundExceeded, InvalidParameter
@@ -126,6 +126,12 @@ def test_verify_thm4_and_thm5():
     assert rep.ok()
     assert verify_thm5(9).evidence["floor_case"] is True
     assert verify_thm5(11).evidence["floor_case"] is False
+
+
+def test_coset_reps_are_the_least_member_of_each_coset():
+    for q in list(range(3, 258, 2)) + [511, 997, 999]:
+        least = {min(coset_orbit(a, q)) for a in range(1, q) if math.gcd(a, q) == 1}
+        assert list(relations._coset_reps(q)) == sorted(least), q
 
 
 def test_lemma3_scan_hits():
