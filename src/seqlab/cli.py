@@ -185,31 +185,20 @@ def _analyze_rows(spec: SeqSpec, nmax: int, names: tuple[str, ...]):
         columns.extend(_MEASURES[name])
     series: dict[str, list] = {}
     if "moc" in names:
-        prof = maxorder.moc_profile(w)
-        series["moc"] = [prof.at(n) for n in range(1, nmax + 1)]
+        series["moc"] = list(maxorder.moc_profile(w))
     if "adic" in names:
-        prof = adic.adic_profile(w)
-        series["mu"] = [prof.at(n) for n in range(1, nmax + 1)]
+        series["mu"] = list(adic.adic_profile(w))
         series["log2_mu"] = [f"{numtheory.int_log2(v):.6f}" for v in series["mu"]]
     if "linear" in names:
-        prof = measures.linear_profile(w)
-        series["linear"] = [prof.at(n) for n in range(1, nmax + 1)]
+        series["linear"] = list(measures.linear_profile(w))
     if "correlation" in names:
         bound = oracle_bound("corr")
         if nmax > bound:
             raise BoundExceeded(f"nmax = {nmax} > correlation bound {bound}")
-        prof = measures.correlation2_profile(w)
-        series["corr2"] = [prof.at(n) for n in range(1, nmax + 1)]
+        series["corr2"] = list(measures.correlation2_profile(w))
     if "expansion" in names:
-        prof = measures.expansion_profile(w)
-        series["expansion"] = [prof.at(n) for n in range(1, nmax + 1)]
-    rows = []
-    for n in range(1, nmax + 1):
-        row = [n]
-        for col in columns[1:]:
-            row.append(series[col][n - 1])
-        rows.append(row)
-    return columns, rows
+        series["expansion"] = list(measures.expansion_profile(w))
+    return columns, list(zip(range(1, nmax + 1), *(series[col] for col in columns[1:])))
 
 
 def _analyze_text(spec: SeqSpec, nmax: int, names: tuple[str, ...], fmt: str) -> str:

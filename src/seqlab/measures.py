@@ -4,8 +4,9 @@ dependence degree of the generating function (expansion complexity).
 Each measure has a per-prefix profile computed in one pass over the word:
 Berlekamp-Massey for linear complexity, per-lag running sums for order-2
 correlation, and one F2 echelon over the monomial columns x^i y^j, fed one
-coefficient row per bit, for expansion complexity. The single-length
-functions stay for one N and serve as the tests' referees. The linear
+coefficient row per bit, for expansion complexity. expansion_complexity
+at one N reads that profile; correlation2 and correlation_k keep their own
+search because they also return the achieving window. The linear
 complexity of a periodic sequence is one polynomial gcd over GF(2).
 """
 
@@ -16,7 +17,7 @@ from itertools import combinations
 
 from .config import oracle_bound
 from .errors import BoundExceeded, TooShort
-from .seqcore import Profile, Word, prefix_value
+from .seqcore import Profile, Word
 
 
 def linear_profile(w: Word) -> Profile:
@@ -186,35 +187,13 @@ def expansion_complexity(w: Word, n: int, d_max: int = 16) -> int | None:
     where G is the prefix generating function. Returns None when every
     d <= d_max fails (value exceeds the cap); all-zero prefixes give 0.
 
-    Columns x^i * G^j mod x^n are packed into ints and fed to an F2
-    elimination; a column reducing to zero is a dependence of degree d.
+    Read from expansion_profile of the length-n prefix.
     """
     if not 1 <= n <= len(w):
         raise ValueError(f"need 1 <= n <= {len(w)}, got {n}")
     if d_max < 1:
         raise ValueError(f"need d_max >= 1, got {d_max}")
-    mask = (1 << n) - 1
-    g = prefix_value(w, n) & mask
-    if g == 0:
-        return 0
-    powers = [1]
-    # Seed the constant monomial x^0 y^0; alone it annihilates nothing, but
-    # dependences found later may use it.
-    basis: dict[int, int] = {0: 1}
-    for d in range(1, d_max + 1):
-        powers.append(_gf2_mul_trunc(powers[-1], g, n))
-        for j in range(d + 1):
-            vec = (powers[j] << (d - j)) & mask
-            while vec:
-                piv = vec.bit_length() - 1
-                other = basis.get(piv)
-                if other is None:
-                    basis[piv] = vec
-                    break
-                vec ^= other
-            if not vec:
-                return d
-    return None
+    return expansion_profile(w[:n], d_max).at(n)
 
 
 def expansion_profile(w: Word, d_max: int = 16) -> Profile:
@@ -231,9 +210,19 @@ def expansion_profile(w: Word, d_max: int = 16) -> Profile:
     rank of any leading block of columns is its number of pivots, and E(n)
     is the degree of the first column that is not a pivot. Once every column
     is a pivot, E is None from then on. All-zero prefixes give 0.
+
+    The rank is at most len(w), so once the (d+1)(d+2)/2 columns of degree
+    <= d outnumber the bits, one of them is not a pivot and E <= d at every
+    prefix. d_max is cut to the least such d: the pivots among the leading
+    columns do not depend on how many columns follow, so the values stay
+    the same, and a huge d_max costs nothing.
     """
     if d_max < 1:
         raise ValueError(f"need d_max >= 1, got {d_max}")
+    d_cap = 1
+    while (d_cap + 1) * (d_cap + 2) // 2 <= len(w):
+        d_cap += 1
+    d_max = min(d_max, d_cap)
     # (mask, shift) moving degree block d onto block d + 1; block d_max drops.
     blocks = [(((1 << (d + 1)) - 1) << (d * (d + 1) // 2), d + 1) for d in range(d_max)]
     degree = [d for d in range(d_max + 1) for _ in range(d + 1)]
@@ -270,15 +259,3 @@ def expansion_profile(w: Word, d_max: int = 16) -> Profile:
         values.append(e if srev else 0)
     return Profile(tuple(values))
 
-
-def _gf2_mul_trunc(a: int, b: int, n: int) -> int:
-    """Carry-less product of bit-packed polynomials, truncated mod x^n."""
-    mask = (1 << n) - 1
-    a &= mask
-    b &= mask
-    out = 0
-    while a:
-        low = a & -a
-        out ^= b * low  # single-bit multiple: a shift
-        a ^= low
-    return out & mask

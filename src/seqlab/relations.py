@@ -512,20 +512,28 @@ def _least_period_words(T: int):
 def _rotation_classes(T: int):
     """One least-period-T sequence per rotation class, by ascending phase value.
 
-    The phase value v (bit i is symbol i) is yielded when every proper
-    rotation of v as a T-bit integer is greater than v, which also makes T
-    its least period. A class holds T words, and M and q are constant on it:
-    the window set is the same, and a shift multiplies A by 2^-1 mod 2^T - 1.
-    So a suite that stops at its first failing word stops at the same word
-    over these representatives, as the least word of a class comes first.
+    The phase value v (bit i is symbol i) of a class's representative is
+    less than the value of every proper rotation; read from symbol T - 1
+    down, its word is then a Lyndon word. So the representatives are the
+    reversals of the binary Lyndon words of length T, which the
+    Fredricksen-Kessler-Maiorana successor (Duval's form; Ruskey, Savage
+    and Wang, J. Algorithms 13, 1992) yields in lexicographic order, that
+    is by ascending v. A class holds T words, and M and q are constant on
+    it: the window set is the same, and a shift multiplies A by 2^-1 mod
+    2^T - 1. So a suite that stops at its first failing word stops at the
+    same word over these representatives, as the least word of a class
+    comes first.
     """
-    mask = (1 << T) - 1
-    for v in range(1 << T):
-        for k in range(1, T):
-            if (v >> k | v << (T - k)) & mask <= v:
-                break
-        else:
-            yield PeriodicSequence(Word([(v >> i) & 1 for i in range(T)]), least=True)
+    a = [-1]  # the successor of [-1] is the first word, [0]
+    while a:
+        a[-1] += 1
+        m = len(a)
+        if m == T:
+            yield PeriodicSequence(Word(a[::-1]), least=True)
+        while len(a) < T:
+            a.append(a[-m])
+        while a and a[-1] == 1:
+            a.pop()
 
 
 def thm2_suite(t_max: int):
@@ -621,32 +629,37 @@ class ClaimSuite:
     """One row of the claim table: a claim's suite and how it is sized.
 
     A suite with a flag takes one bound: default when none is given, never
-    above maximum (None: no cap). A suite without a flag takes no argument.
+    below minimum, the least bound with a meaning (None: the suite checks
+    its own), and never above maximum (None: no cap). A suite without a
+    flag takes no argument.
     """
 
     suite: Callable[..., list[VerificationReport]]
     flag: str | None = None
     default: int | None = None
+    minimum: int | None = None
     maximum: int | None = None
 
 
 # Every claim, each declared once, in report order. thm2 and thm6 evaluate
-# one word per rotation class, about 2^T/T per T: 5.6 s and 5.4 s at their
-# cap T = 20 (medians of three runs). lemma1 visits every word, so each step
+# one word per rotation class, about 2^T/T per T: 3.6 s and 3.1 s at their
+# cap T = 20 (medians of five runs). lemma1 visits every word, so each step
 # of T doubles it: 14 s at its cap 16. lowerbound takes about 0.14 s at
 # --nmax 8000, 0.24 s at 16000 and 1.0 s at 32000. The caps keep one run to
-# seconds (single runs otherwise, all on a 2-core container).
+# seconds (single runs otherwise, all on a 2-core container). The least
+# bound is the smallest with a meaning: below it an exhaustive suite would
+# run on no words and pass.
 CLAIM_SUITES = {
     "cor1": ClaimSuite(cor1_suite),
-    "lemma1": ClaimSuite(lemma1_suite, "--exhaustive-T", 8, 16),
+    "lemma1": ClaimSuite(lemma1_suite, "--exhaustive-T", 8, 1, 16),
     "lemma3": ClaimSuite(lambda: [lemma3_scan(30)]),
-    "lowerbound": ClaimSuite(lowerbound_suite, "--nmax", 2000, 32000),
+    "lowerbound": ClaimSuite(lowerbound_suite, "--nmax", 2000, None, 32000),
     "msequence": ClaimSuite(msequence_suite),
     "thm1": ClaimSuite(thm1_suite),
-    "thm2": ClaimSuite(thm2_suite, "--exhaustive-T", 10, 20),
+    "thm2": ClaimSuite(thm2_suite, "--exhaustive-T", 10, 1, 20),
     "thm4": ClaimSuite(thm4_suite),
     "thm5": ClaimSuite(thm5_suite),
-    "thm6": ClaimSuite(thm6_suite, "--exhaustive-T", 12, THM6_T_MAX),
+    "thm6": ClaimSuite(thm6_suite, "--exhaustive-T", 12, 2, THM6_T_MAX),
 }
 
 # Claim id -> suite. run_claim calls every suite through this dict, so one
@@ -655,12 +668,14 @@ CLAIMS = {claim: row.suite for claim, row in CLAIM_SUITES.items()}
 
 
 def run_claim(claim: str, bound: int | None = None) -> list[VerificationReport]:
-    """One claim's suite at bound, or at its default; the cap is checked
-    before the suite starts."""
+    """One claim's suite at bound, or at its default; the least bound and
+    the cap are checked before the suite starts."""
     row = CLAIM_SUITES[claim]
     if row.flag is None:
         return CLAIMS[claim]()
     bound = row.default if bound is None else bound
+    if row.minimum is not None and bound < row.minimum:
+        raise InvalidParameter(f"{claim}: {row.flag} {bound} is below its minimum {row.minimum}")
     if row.maximum is not None and bound > row.maximum:
         raise BoundExceeded(f"{claim}: {row.flag} {bound} exceeds its maximum {row.maximum}")
     return CLAIMS[claim](bound)

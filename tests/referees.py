@@ -45,6 +45,50 @@ def linear_complexity_bm(period) -> int:
     return ell
 
 
+def expansion_elimination(bits, n: int, d_max: int = 16) -> int | None:
+    """Expansion complexity of the first n of bits (a sequence of bits) by
+    one F2 elimination at that length: the least total degree d of a
+    nonzero h(x, y) with h(x, G(x)) = 0 mod x^n, None above d_max, 0 for an
+    all-zero prefix. Columns x^i * G^j mod x^n are packed into ints and
+    reduced by total degree; the first column that reduces to zero is a
+    dependence of degree d."""
+    mask = (1 << n) - 1
+    g = sum(b << i for i, b in enumerate(bits[:n]))
+    if g == 0:
+        return 0
+    powers = [1]
+    # Seed the constant monomial x^0 y^0; alone it annihilates nothing, but
+    # dependences found later may use it.
+    basis = {0: 1}
+    for d in range(1, d_max + 1):
+        powers.append(_gf2_mul_trunc(powers[-1], g, n))
+        for j in range(d + 1):
+            vec = (powers[j] << (d - j)) & mask
+            while vec:
+                piv = vec.bit_length() - 1
+                other = basis.get(piv)
+                if other is None:
+                    basis[piv] = vec
+                    break
+                vec ^= other
+            if not vec:
+                return d
+    return None
+
+
+def _gf2_mul_trunc(a: int, b: int, n: int) -> int:
+    """Carry-less product of bit-packed polynomials, truncated mod x^n."""
+    mask = (1 << n) - 1
+    a &= mask
+    b &= mask
+    out = 0
+    while a:
+        low = a & -a
+        out ^= b * low  # single-bit multiple: a shift
+        a ^= low
+    return out & mask
+
+
 def euclid_rows(s: int, n: int) -> tuple[int, int, int, int]:
     """Schoolbook extended Euclid on (2^n, s), one division per quotient,
     from the rows (2^n, 0), (s, 1) to the first row (r1, t1) with

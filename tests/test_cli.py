@@ -433,6 +433,29 @@ def test_verify_bounds_above_maximum_exit_before_running(monkeypatch):
         assert err.startswith("error:") and "maximum" in err, claim
 
 
+def test_verify_bounds_below_minimum_exit_before_running(monkeypatch):
+    # An empty exhaustive suite would pass on a report of nothing.
+    def never(*_):
+        raise AssertionError("suite ran despite an out-of-range bound")
+
+    cases = (
+        ("thm2", 0),
+        ("thm6", -3),
+        ("thm6", 1),
+        ("lemma1", -1),
+        ("lemma1", 0),
+    )
+    for claim, bound in cases:
+        monkeypatch.setitem(relations.CLAIMS, claim, never)
+        code, out, err = run(["verify", claim, "--exhaustive-T", str(bound)])
+        assert code == 2 and out == "" and err.count("\n") == 1, (claim, bound)
+        assert err.startswith("error:") and "minimum" in err, (claim, bound)
+    monkeypatch.undo()
+    for claim, least in (("thm2", 1), ("thm6", 2), ("lemma1", 1)):
+        code, out, _ = run(["verify", claim, "--exhaustive-T", str(least)])
+        assert code == 0 and out.count(f"{claim},") == len(relations.run_claim(claim, least)) > 0
+
+
 def test_verify_lowerbound_short_nmax_exits_2():
     code, out, err = run(["verify", "lowerbound", "--nmax", "3"])
     assert code == 2 and out == ""

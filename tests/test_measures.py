@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from referees import linear_complexity_bm
+from referees import expansion_elimination, linear_complexity_bm
 from seqlab.errors import BoundExceeded, TooShort
 from seqlab.generators import (
     IDENTITY,
@@ -346,7 +346,7 @@ def test_expansion_profile_exhaustive():
         w = Word(bytes((v >> i) & 1 for i in range(11)))
         prof = expansion_profile(w)
         for n in range(1, 12):
-            assert prof.at(n) == expansion_complexity(w, n), (w.to01(), n)
+            assert prof.at(n) == expansion_elimination(w.bits, n), (w.to01(), n)
 
 
 def test_expansion_profile_random_and_families():
@@ -355,13 +355,31 @@ def test_expansion_profile_random_and_families():
         for length in (1, 2, 17, 64, 150, 153, 154, 250, 400):
             w = random_word(rng, length)
             got = list(expansion_profile(w, d_max))
-            assert got == [expansion_complexity(w, n, d_max) for n in range(1, length + 1)], (
+            assert got == [expansion_elimination(w.bits, n, d_max) for n in range(1, length + 1)], (
                 w.to01(),
                 d_max,
             )
     for w in (thue_morse_word(600), rudin_shapiro_word(600), zeckendorf_word(600)):
         got = list(expansion_profile(w))
-        assert got == [expansion_complexity(w, n) for n in range(1, 601)], w
+        assert got == [expansion_elimination(w.bits, n) for n in range(1, 601)], w
+
+
+def test_expansion_d_max_is_cut_where_a_dependence_must_exist():
+    # 10 bits: the 10 columns of degree <= 3 may all be pivots, the 15 of
+    # degree <= 4 cannot, so every d_max from 4 up gives the same profile.
+    # Without the cut, d_max = 10**9 would build ~5*10^17 column entries.
+    w = thue_morse_word(10)
+    want = list(expansion_profile(w, 4))
+    assert want == [expansion_elimination(w.bits, n, 4) for n in range(1, len(w) + 1)]
+    for d_max in (5, 100, 10**9):
+        assert list(expansion_profile(w, d_max)) == want, d_max
+    for w in (thue_morse_word(100), Word(bytes(50))):
+        assert expansion_complexity(w, len(w), 10**9) == expansion_complexity(w, len(w)), w
+    # A random word's value passes the default cap 16; the elimination at
+    # d_max = n always meets its dependence, as the rank is at most n.
+    w = random_word(random.Random(49), 300)
+    assert expansion_complexity(w, 300) is None
+    assert expansion_complexity(w, 300, 10**9) == expansion_elimination(w.bits, 300, 300) == 24
 
 
 def test_expansion_profile_edges():
@@ -377,7 +395,7 @@ def test_expansion_profile_edges():
 def test_expansion_profile_property(bits, d_max):
     w = Word(bytes(bits))
     got = list(expansion_profile(w, d_max))
-    assert got == [expansion_complexity(w, n, d_max) for n in range(1, len(w) + 1)]
+    assert got == [expansion_elimination(w.bits, n, d_max) for n in range(1, len(w) + 1)]
 
 
 def test_expansion_profile_linear_bound_and_monotone():
