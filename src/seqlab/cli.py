@@ -12,6 +12,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import sys
 
@@ -30,13 +31,15 @@ from .seqcore import reverse_period, write_bits
 MAX_BITS = 1_000_000
 MAX_GRID_POINTS = 400
 # analyze prints mu, an integer of about N/2 bits, on each of its N rows, so
-# its output grows as N^2: 3.6 s, 200 MB peak and 74 MB written at 32000
-# (Thue-Morse, 2-core container), against 85 s and 1.7 GB at 100000.
+# its output grows as N^2: 3.8 s, 197 MB peak and 78 MB written at 32000
+# (Thue-Morse, 2-core container). Most of that time is the decimal
+# conversion of mu, quadratic in its digits: 2.6 s for the 15832 values
+# that differ from the one before.
 MAX_ANALYZE_BITS = 32_000
 # periodic grows a suffix automaton over the first T + M bits (M the
 # maximum-order complexity, so at most 2T - 1) and runs gcds on T-bit
 # numbers and polynomials, so it grows a little faster than T: legendre at
-# p = 999983 takes 25 s and 227 MB peak (2-core container); the automaton
+# p = 999983 takes 24 s and 227 MB peak (2-core container); the automaton
 # takes 2.3 s of that and sets the peak. The family's period bound (p,
 # ord_q(2), 2^r - 1) is checked before anything is built.
 MAX_PERIOD = 1_000_000
@@ -178,45 +181,58 @@ def _parse_measures(text: str) -> tuple[str, ...]:
     return tuple(m for m in _MEASURES if m in names)
 
 
-def _analyze_rows(spec: SeqSpec, nmax: int, names: tuple[str, ...]):
+def _analyze_columns(spec: SeqSpec, nmax: int, names: tuple[str, ...]):
+    """The column names and, in the same order, each column's values for
+    N = 1..nmax: ints, preformatted floats, or None for an empty field."""
     w = generators.materialize(spec, nmax)
     columns = ["N"]
     for name in names:
         columns.extend(_MEASURES[name])
-    series: dict[str, list] = {}
+    series: dict[str, tuple | list] = {}
     if "moc" in names:
-        series["moc"] = list(maxorder.moc_profile(w))
+        series["moc"] = maxorder.moc_profile(w).values
     if "adic" in names:
-        series["mu"] = list(adic.adic_profile(w))
+        series["mu"] = adic.adic_profile(w).values
         series["log2_mu"] = [f"{numtheory.int_log2(v):.6f}" for v in series["mu"]]
     if "linear" in names:
-        series["linear"] = list(measures.linear_profile(w))
+        series["linear"] = measures.linear_profile(w).values
     if "correlation" in names:
         bound = oracle_bound("corr")
         if nmax > bound:
             raise BoundExceeded(f"nmax = {nmax} > correlation bound {bound}")
-        series["corr2"] = list(measures.correlation2_profile(w))
+        series["corr2"] = measures.correlation2_profile(w).values
     if "expansion" in names:
-        series["expansion"] = list(measures.expansion_profile(w))
-    return columns, list(zip(range(1, nmax + 1), *(series[col] for col in columns[1:])))
+        series["expansion"] = measures.expansion_profile(w).values
+    return columns, [range(1, nmax + 1), *(series[col] for col in columns[1:])]
+
+
+def _fields(values):
+    """The CSV field of each value: "" for None, str(v) otherwise. A value
+    equal to the one before reuses its field, because profiles repeat values
+    over runs of prefixes and str of a big int is quadratic in its digits."""
+    prev, field = object(), ""
+    for v in values:
+        if v != prev:
+            prev, field = v, "" if v is None else str(v)
+        yield field
 
 
 def _analyze_text(spec: SeqSpec, nmax: int, names: tuple[str, ...], fmt: str) -> str:
-    columns, rows = _analyze_rows(spec, nmax, names)
+    columns, values = _analyze_columns(spec, nmax, names)
     if fmt == "json":
         payload = {
             "seq": spec.text(),
             "columns": columns,
-            "rows": rows,
+            "rows": list(zip(*values)),
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    buf = io.StringIO()
-    buf.write(f"# seqlab-analyze-v1: {','.join(columns)}\n")
-    buf.write(f"# seq={spec.text()}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    for row in rows:
-        writer.writerow(["" if v is None else v for v in row])
-    return buf.getvalue()
+    # No field holds a delimiter, quote or newline, and every row starts
+    # with N, so none is the lone empty field csv.writer would quote:
+    # joining gives csv.writer's bytes. The fields stay lazy, so only the
+    # lines are held. The empty last item ends the text with a newline.
+    header = [f"# seqlab-analyze-v1: {','.join(columns)}", f"# seq={spec.text()}"]
+    rows = map(",".join, zip(*map(_fields, values)))
+    return "\n".join(itertools.chain(header, rows, [""]))
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +348,7 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="ascii") as handle:
+        with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
 
 

@@ -4,6 +4,8 @@ These are direct definitions that no production code calls. They import
 nothing from seqlab, so they check it from outside.
 """
 
+import csv
+import io
 import math
 
 
@@ -315,3 +317,16 @@ def thm6_per_word(t_max: int, moc, conn_q) -> list[tuple]:
                 status = "fail"
         rows.append(("thm6", f"T={T}", status, evidence))
     return rows
+
+
+def analyze_csv(seq: str, columns, rows) -> str:
+    """analyze's CSV written with csv.writer: the header naming the columns,
+    the "# seq=" line, then one row per prefix with None written as an
+    empty field."""
+    buf = io.StringIO()
+    buf.write(f"# seqlab-analyze-v1: {','.join(columns)}\n")
+    buf.write(f"# seq={seq}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    for row in rows:
+        writer.writerow(["" if v is None else v for v in row])
+    return buf.getvalue()

@@ -23,6 +23,8 @@ from seqlab.measures import linear_profile
 from seqlab.relations import VerificationReport
 from seqlab.seqcore import Word, read_bits
 
+from referees import analyze_csv
+
 
 def run(args):
     out, err = io.StringIO(), io.StringIO()
@@ -277,6 +279,65 @@ def test_analyze_csv_pinned(tmp_path, monkeypatch):
         code, out, _ = run(["analyze", *args])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, args
+
+
+def _analyze_referee_cases(tmp_path):
+    """(seq, nmax, measures) for each measure alone and all five together
+    on constant, structured and random words, at one bit and at 200; last
+    the 400-bit random word of test_analyze_csv_pinned, whose expansion
+    column has empty fields. Writes the random words under tmp_path."""
+    rng = random.Random(50)
+    (tmp_path / "rand.bits").write_text("".join(str(rng.getrandbits(1)) for _ in range(200)) + "\n")
+    (tmp_path / "rand400.bits").write_text("".join(str(rng.getrandbits(1)) for _ in range(400)) + "\n")
+    for seq in ("zero", "ones", "thue-morse", "file:path=rand.bits"):
+        for measures in (*cli._MEASURES, ",".join(cli._MEASURES)):
+            for nmax in (1, 200):
+                yield seq, nmax, measures
+    yield "file:path=rand400.bits", 400, "expansion"
+
+
+def test_analyze_csv_matches_csv_writer(tmp_path, monkeypatch):
+    # The JSON rows are the values analyze formats, so csv.writer on them
+    # must give the CSV byte for byte.
+    monkeypatch.chdir(tmp_path)
+    for seq, nmax, measures in _analyze_referee_cases(tmp_path):
+        args = ["analyze", "--seq", seq, "--nmax", str(nmax), "--measures", measures]
+        code, out, _ = run(args)
+        assert code == 0
+        code, text, _ = run([*args, "--format", "json"])
+        assert code == 0
+        payload = json.loads(text)
+        assert out == analyze_csv(payload["seq"], payload["columns"], payload["rows"]), args
+    assert sum(row[1] is None for row in payload["rows"]) == 247
+
+
+def test_analyze_json_pinned(tmp_path, monkeypatch):
+    # SHA-256 of every JSON output of the referee cases in order, recorded
+    # when the CSV went through csv.writer on zipped rows.
+    monkeypatch.chdir(tmp_path)
+    digest = hashlib.sha256()
+    for seq, nmax, measures in _analyze_referee_cases(tmp_path):
+        code, text, _ = run([
+            "analyze", "--seq", seq, "--nmax", str(nmax), "--measures", measures, "--format", "json",
+        ])
+        assert code == 0
+        digest.update(text.encode())
+    assert digest.hexdigest() == "a2badca64912a8c1d7b4c07bd1e0d6fab47ab0536f10246edce173b58c4f4ca6"
+
+
+def test_out_writes_a_non_ascii_spec(tmp_path, monkeypatch):
+    # The "# seq=" line echoes the spec, so --out is UTF-8 like the text
+    # printed without it.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "\u00fc.bits").write_text("0110100110010110\n", encoding="ascii")
+    for args in (
+        ["analyze", "--seq", "file:path=\u00fc.bits", "--nmax", "4"],
+        ["scan", "--seq", "file:path=\u00fc.bits", "--nmax", "16"],
+    ):
+        code, out, _ = run(args)
+        assert code == 0 and "# seq=file:path=\u00fc.bits" in out
+        assert run([*args, "--out", "o.csv"]) == (0, "", "")
+        assert (tmp_path / "o.csv").read_text(encoding="utf-8") == out
 
 
 def test_periodic_row():
