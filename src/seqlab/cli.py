@@ -206,26 +206,34 @@ def _analyze_columns(spec: SeqSpec, nmax: int, names: tuple[str, ...]):
     return columns, [range(1, nmax + 1), *(series[col] for col in columns[1:])]
 
 
-def _fields(values):
-    """The CSV field of each value: "" for None, str(v) otherwise. A value
+def _fields(values, null: str = "", text=str):
+    """The field of each value: null for None, text(v) otherwise. A value
     equal to the one before reuses its field, because profiles repeat values
     over runs of prefixes and str of a big int is quadratic in its digits."""
-    prev, field = object(), ""
+    prev, field = object(), null
     for v in values:
         if v != prev:
-            prev, field = v, "" if v is None else str(v)
+            prev, field = v, null if v is None else text(v)
         yield field
+
+
+def _json_scalar(v) -> str:
+    """json.dumps of an int or a str, without the encoder's setup for ints."""
+    return json.dumps(v) if isinstance(v, str) else str(v)
 
 
 def _analyze_text(spec: SeqSpec, nmax: int, names: tuple[str, ...], fmt: str) -> str:
     columns, values = _analyze_columns(spec, nmax, names)
     if fmt == "json":
-        payload = {
-            "seq": spec.text(),
-            "columns": columns,
-            "rows": list(zip(*values)),
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        # The bytes of json.dumps(payload, sort_keys=True,
+        # separators=(",", ":")) on the zipped rows, with each field
+        # formatted once per run of equal values as in the CSV.
+        fields = zip(*(_fields(v, "null", _json_scalar) for v in values))
+        rows = ",".join("[" + ",".join(row) + "]" for row in fields)
+        return (
+            f'{{"columns":{json.dumps(columns, separators=(",", ":"))},'
+            f'"rows":[{rows}],"seq":{json.dumps(spec.text())}}}\n'
+        )
     # No field holds a delimiter, quote or newline, and every row starts
     # with N, so none is the lone empty field csv.writer would quote:
     # joining gives csv.writer's bytes. The fields stay lazy, so only the

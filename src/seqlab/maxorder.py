@@ -13,10 +13,12 @@ from dataclasses import dataclass
 from .config import oracle_bound
 from .errors import NotCoprime, NotEllModulus, OracleBoundExceeded
 from .numtheory import (
+    FACTOR_LIMIT,
     ceil_log2,
+    factorize,
     is_odd_prime_power,
-    is_two_primitive,
     multiplicative_order,
+    two_generates,
 )
 from .seqcore import PeriodicSequence, Profile, Word
 
@@ -191,14 +193,19 @@ class CosetSet:
         return len(self.elements)
 
 
-def _orbit(a: int, q: int) -> list[int]:
-    """The doubling orbit of the unit a mod q, from a until the walk
-    returns to it; doubling permutes the units, so it always does."""
+def _unit(a: int, q: int) -> int:
+    """a mod q, once q is checked odd and a a unit mod q."""
     if q < 1 or q % 2 == 0:
         raise ValueError(f"need odd q >= 1, got {q}")
     if math.gcd(a, q) != 1:
         raise NotCoprime(f"gcd({a}, {q}) != 1")
-    a %= q
+    return a % q
+
+
+def _orbit(a: int, q: int) -> list[int]:
+    """The doubling orbit of the unit a mod q, from a until the walk
+    returns to it; doubling permutes the units, so it always does."""
+    a = _unit(a, q)
     orbit = [a]
     cur = a * 2 % q
     while cur != a:
@@ -216,7 +223,18 @@ def moc_from_coset(a: int, q: int) -> int:
     computed as the least N with the doubling orbit distinct mod 2^N.
 
     q = 1 (and generally orbit size 1) is the constant sequence: returns 0.
+
+    When 2 is primitive mod q (decided for q below FACTOR_LIMIT), q is a
+    prime power p^e and the orbit of any unit is the whole unit group, so it
+    is read from a q-byte mask of the units instead of walked. The mask is
+    smaller than the phi(q) >= 2q/3 list entries the walk would hold.
+    Otherwise the orbit is walked.
     """
+    a = _unit(a, q)
+    if 3 <= q < FACTOR_LIMIT:
+        factors = factorize(q)
+        if two_generates(q, factors):
+            return _unit_group_width(q, factors[0][0])
     orbit = _orbit(a, q)
     t = len(orbit)
     if t == 1:
@@ -227,6 +245,32 @@ def moc_from_coset(a: int, q: int) -> int:
         if len({u & mask for u in orbit}) == t:
             return nbits
     raise AssertionError("unreachable: orbit elements are distinct below q")
+
+
+def _unit_group_width(q: int, p: int) -> int:
+    """Least N with the units mod q = p^e distinct mod 2^N (p an odd prime).
+
+    Byte u of the mask is 1 when u is a unit: one slice assignment clears
+    the multiples of p. Read 2^N bytes at a time as a
+    little-endian int, the chunk starting at k * 2^N has bit 8r set when
+    k * 2^N + r is a unit, so two units agree mod 2^N exactly when two
+    chunks share a set bit. The OR of the chunks before each one finds
+    that. As in the walk, widths start at ceil(log2 phi(q)).
+    """
+    units = bytearray(b"\x01") * q
+    units[::p] = bytes(q // p)
+    phi = q - q // p
+    for nbits in range((phi - 1).bit_length(), q.bit_length() + 1):
+        width = 1 << nbits
+        seen = 0
+        for start in range(0, q, width):
+            chunk = int.from_bytes(units[start : start + width], "little")
+            if seen & chunk:
+                break
+            seen |= chunk
+        else:
+            return nbits
+    raise AssertionError("unreachable: one chunk of width >= q is distinct")
 
 
 def moc_periodic(s: PeriodicSequence) -> int:
@@ -258,7 +302,8 @@ def moc_ell_formula(q: int) -> int:
     Requires q to be an odd prime power with 2 primitive. The value is
     floor(log2 q) for q in ELL_FLOOR_MODULI and ceil(log2 q) otherwise.
     """
-    if is_odd_prime_power(q) is None or not is_two_primitive(q):
+    power = is_odd_prime_power(q)
+    if power is None or not two_generates(q, (power,)):
         raise NotEllModulus(f"{q} is not an odd prime power with 2 primitive")
     if q in ELL_FLOOR_MODULI:
         return q.bit_length() - 1
@@ -266,12 +311,24 @@ def moc_ell_formula(q: int) -> int:
 
 
 def ell_moduli(limit: int) -> list[int]:
-    """All odd prime powers q <= limit with 2 a primitive root, ascending."""
+    """All odd prime powers q <= limit with 2 a primitive root, ascending.
+
+    The odd primes come from one sieve, and each prime's powers are tested
+    with their factorization known. Reducing mod p^k maps the units mod
+    p^(k+1) onto those mod p^k, so once 2 fails to generate at p^k it fails
+    at every higher power, and the powers of p stop there.
+    """
+    composite = bytearray(max(limit + 1, 0))
     out = []
-    for q in range(3, limit + 1, 2):
-        if is_odd_prime_power(q) is not None and is_two_primitive(q):
+    for p in range(3, limit + 1, 2):
+        if composite[p]:
+            continue
+        composite[p * p :: 2 * p] = b"\x01" * len(range(p * p, limit + 1, 2 * p))
+        q, k = p, 1
+        while q <= limit and two_generates(q, ((p, k),)):
             out.append(q)
-    return out
+            q, k = q * p, k + 1
+    return sorted(out)
 
 
 def ell_period(q: int) -> int:

@@ -5,15 +5,18 @@ Each measure has a per-prefix profile computed in one pass over the word:
 Berlekamp-Massey for linear complexity, per-lag running sums for order-2
 correlation, and one F2 echelon over the monomial columns x^i y^j, fed one
 coefficient row per bit, for expansion complexity. expansion_complexity
-at one N reads that profile; correlation2 and correlation_k keep their own
-search because they also return the achieving window. The linear
+at one N reads that profile. correlation2 and correlation_k keep their own
+search because they also return the achieving window: the prefix sums of
+each lag tuple's sign products give its value, and the least window is
+searched only in the tuples that tie the best value. The linear
 complexity of a periodic sequence is one polynomial gcd over GF(2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import mul
 
 from .config import oracle_bound
 from .errors import BoundExceeded, TooShort
@@ -136,50 +139,53 @@ def correlation_k(w: Word, k: int) -> tuple[int, CorrelationWitness]:
 
 
 def _correlation(w: Word, k: int) -> tuple[int, CorrelationWitness]:
+    """The value and the witness with the lexicographically least
+    (U, d1, lag tuple) among those achieving it.
+
+    With signs s = 1 - 2b, a lag tuple's terms are the products of the
+    shifted signs, and its largest |window sum| is the max minus the min of
+    their prefix sums, all read at C level. Only the tuples that tie the
+    final value can hold the witness, so the least window is searched in
+    them alone, after the loop.
+    """
     n = len(w)
-    bits = w.bits
-    best_val = -1
-    best_key = None  # (U, d1, lag tuple); lexicographically least among ties
-    best_sign = 1
+    signs = [1 - 2 * b for b in w.bits]
+    best_val = 0
+    ties = []
     for lags in combinations(range(1, n), k - 1):
-        top = lags[-1]
-        xs = [bits[j] for j in range(n - top)]
-        for lag in lags:
-            for j in range(n - top):
-                xs[j] ^= bits[j + lag]
-        # prefix sums of +-1 terms; the lag's max |window sum| is max - min
-        prefix = [0] * (len(xs) + 1)
-        acc = 0
-        hi = lo = 0
-        for j, bit in enumerate(xs):
-            acc += 1 - 2 * bit
-            prefix[j + 1] = acc
-            if acc > hi:
-                hi = acc
-            elif acc < lo:
-                lo = acc
-        val = hi - lo
-        if val < best_val:
-            continue
+        prefix = _prefix_sums(signs, lags)
+        val = max(prefix) - min(prefix)
         if val > best_val:
-            best_val = val
-            best_key = None
-        # Tie-break pass: find the least (U, d1) achieving |sum| = val for
-        # this lag tuple. latest-occurrence map gives the min U ending at b.
+            best_val, ties = val, [lags]
+        elif val == best_val:
+            ties.append(lags)
+    best_key = None  # (U, d1, lag tuple)
+    best_sign = 1
+    for lags in ties:
+        # The latest earlier occurrence of pb -+ best_val gives the least U
+        # ending at b.
         latest: dict[int, int] = {}
-        for b, pb in enumerate(prefix):
-            for target, sign in ((pb - val, 1), (pb + val, -1)):
+        for b, pb in enumerate(_prefix_sums(signs, lags)):
+            for target, sign in ((pb - best_val, 1), (pb + best_val, -1)):
                 a = latest.get(target)
                 if a is not None:
                     key = (b - a, a, lags)
                     if best_key is None or key < best_key:
                         best_key = key
                         best_sign = sign
-            if pb not in latest or latest[pb] < b:
-                latest[pb] = b
+            latest[pb] = b
     u, d1, lags = best_key
     offsets = (d1,) + tuple(d1 + lag for lag in lags)
     return best_val, CorrelationWitness(u, offsets, best_sign * best_val)
+
+
+def _prefix_sums(signs: list[int], lags: tuple[int, ...]) -> list[int]:
+    """Prefix sums, from 0, of the terms s_i * s_(i+lag) * ... over the lags,
+    for i < len(signs) - max lag, where the shortest shifted list ends."""
+    terms = signs
+    for lag in lags:
+        terms = map(mul, terms, signs[lag:])
+    return list(accumulate(terms, initial=0))
 
 
 def expansion_complexity(w: Word, n: int, d_max: int = 16) -> int | None:

@@ -43,7 +43,10 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
                 e += 1
             counts[d] = e
         d += 2
-    if n > 1:
+    if n > 1 and d * d > n:
+        # No factor up to sqrt(n) is left, so n is prime.
+        counts[n] = 1
+    elif n > 1:
         stack = [n]
         while stack:
             m = stack.pop()
@@ -141,7 +144,24 @@ def is_two_primitive(q: int) -> bool:
     """True when 2 generates the full unit group mod q (q odd, q >= 3)."""
     if q < 3 or q % 2 == 0:
         raise ValueError(f"need odd q >= 3, got {q}")
-    return multiplicative_order(2, q) == euler_phi(q)
+    return two_generates(q, factorize(q))
+
+
+def two_generates(q: int, factors: tuple[tuple[int, int], ...]) -> bool:
+    """is_two_primitive(q) for odd q >= 3, given factors = factorize(q).
+
+    Two odd primes give two units of order 2, so the units mod q are cyclic
+    only for a prime power p^e. For p = 1 or 7 mod 8, 2 is a square mod p,
+    so its order mod p divides (p - 1)/2, and it generates neither mod p
+    nor mod p^e. Otherwise ord_q(2) divides phi(q), so it equals phi(q)
+    exactly when 2^(phi/r) is not 1 for any prime r dividing phi: one
+    factorization of phi, and no walk down to the order.
+    """
+    if len(factors) != 1 or factors[0][0] % 8 in (1, 7):
+        return False
+    ((p, e),) = factors
+    phi = (p - 1) * p ** (e - 1)
+    return all(pow(2, phi // r, q) != 1 for r, _ in factorize(phi))
 
 
 def is_odd_prime_power(q: int) -> tuple[int, int] | None:

@@ -642,13 +642,13 @@ class ClaimSuite:
 
 
 # Every claim, each declared once, in report order. thm2 and thm6 evaluate
-# one word per rotation class, about 2^T/T per T: 3.6 s and 3.1 s at their
-# cap T = 20 (medians of five runs). lemma1 visits every word, so each step
-# of T doubles it: 14 s at its cap 16. lowerbound takes about 0.14 s at
-# --nmax 8000, 0.24 s at 16000 and 1.0 s at 32000. The caps keep one run to
-# seconds (single runs otherwise, all on a 2-core container). The least
-# bound is the smallest with a meaning: below it an exhaustive suite would
-# run on no words and pass.
+# one word per rotation class, about 2^T/T per T: 2.4 s and 2.6 s at their
+# cap T = 20. lemma1 visits every word, so each step of T doubles it: 10 s
+# at its cap 16. lowerbound takes 0.07 s at --nmax 8000, 0.20 s at 16000
+# and 0.67 s at 32000. The caps keep one run to seconds. The suites without
+# a flag take 0.27 s (thm4) or less. All are medians of five runs, taken
+# back to back on a 2-core container. The least bound is the smallest with
+# a meaning: below it an exhaustive suite would run on no words and pass.
 CLAIM_SUITES = {
     "cor1": ClaimSuite(cor1_suite),
     "lemma1": ClaimSuite(lemma1_suite, "--exhaustive-T", 8, 1, 16),

@@ -6,6 +6,7 @@ nothing from seqlab, so they check it from outside.
 
 import csv
 import io
+import itertools
 import math
 
 
@@ -330,3 +331,58 @@ def analyze_csv(seq: str, columns, rows) -> str:
     for row in rows:
         writer.writerow(["" if v is None else v for v in row])
     return buf.getvalue()
+
+
+def correlation_single_pass(bits, k: int) -> tuple[int, int, tuple[int, ...], int]:
+    """Order-k correlation of bits (a sequence of bits) as
+    (value, window U, offsets, signed sum): every lag tuple in one pass,
+    each new best or tied tuple searched at once for its least window, so
+    the witness has the lexicographically least (U, d1, lag tuple)."""
+    n = len(bits)
+    best_val = -1
+    best_key = None  # (U, d1, lag tuple)
+    best_sign = 1
+    for lags in itertools.combinations(range(1, n), k - 1):
+        top = lags[-1]
+        xs = [bits[j] for j in range(n - top)]
+        for lag in lags:
+            for j in range(n - top):
+                xs[j] ^= bits[j + lag]
+        prefix = [0]
+        for bit in xs:
+            prefix.append(prefix[-1] + 1 - 2 * bit)
+        val = max(prefix) - min(prefix)
+        if val < best_val:
+            continue
+        if val > best_val:
+            best_val = val
+            best_key = None
+        # The latest earlier occurrence of pb -+ val gives the least U
+        # ending at b.
+        latest: dict[int, int] = {}
+        for b, pb in enumerate(prefix):
+            for target, sign in ((pb - val, 1), (pb + val, -1)):
+                a = latest.get(target)
+                if a is not None:
+                    key = (b - a, a, lags)
+                    if best_key is None or key < best_key:
+                        best_key = key
+                        best_sign = sign
+            latest[pb] = b
+    u, d1, lags = best_key
+    offsets = (d1,) + tuple(d1 + lag for lag in lags)
+    return best_val, u, offsets, best_sign * best_val
+
+
+def ell_moduli_by_trial(limit: int) -> list[int]:
+    """Odd prime powers q <= limit whose doubling orbit of 1 holds every
+    unit, each odd q factored by trial division, ascending."""
+    out = []
+    for q in range(3, limit + 1, 2):
+        p = next((d for d in range(3, math.isqrt(q) + 1, 2) if q % d == 0), q)
+        r = q
+        while r % p == 0:
+            r //= p
+        if r == 1 and len(coset_orbit(1, q)) == q - q // p:
+            out.append(q)
+    return out

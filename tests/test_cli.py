@@ -325,6 +325,22 @@ def test_analyze_json_pinned(tmp_path, monkeypatch):
     assert digest.hexdigest() == "a2badca64912a8c1d7b4c07bd1e0d6fab47ab0536f10246edce173b58c4f4ca6"
 
 
+def test_analyze_json_matches_json_dumps(tmp_path, monkeypatch):
+    # The JSON is joined from fields formatted once per run; json.dumps on
+    # the payload of zipped rows must give the same bytes, a non-ASCII
+    # spec escaped as json.dumps escapes it.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "\u00fc.bits").write_text("0110100110010110\n", encoding="ascii")
+    cases = [*_analyze_referee_cases(tmp_path), ("file:path=\u00fc.bits", 16, "moc,adic")]
+    for seq, nmax, measures in cases:
+        spec = parse_seqspec(seq)
+        columns, values = cli._analyze_columns(spec, nmax, cli._parse_measures(measures))
+        payload = {"seq": spec.text(), "columns": columns, "rows": list(zip(*values))}
+        expected = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        args = ["analyze", "--seq", seq, "--nmax", str(nmax), "--measures", measures]
+        assert run([*args, "--format", "json"]) == (0, expected, ""), args
+
+
 def test_out_writes_a_non_ascii_spec(tmp_path, monkeypatch):
     # The "# seq=" line echoes the spec, so --out is UTF-8 like the text
     # printed without it.

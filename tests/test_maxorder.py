@@ -2,10 +2,12 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
-from referees import coset_orbit, coset_width, moc_two_periods
+from referees import coset_orbit, coset_width, ell_moduli_by_trial, moc_two_periods
+from seqlab import maxorder
 from seqlab.config import oracle_bound
 from seqlab.errors import NotEllModulus, OracleBoundExceeded
 from seqlab.generators import IDENTITY, fcsr_word, legendre_period, lfsr_period
@@ -160,12 +162,47 @@ def test_moc_from_coset_matches_word_route():
 
 
 def test_moc_from_coset_matches_width_from_one_referee():
-    for q in range(1, 258, 2):
+    for q in range(1, 400, 2):
         for a in range(q):
             if math.gcd(a, q) == 1:
                 assert moc_from_coset(a, q) == coset_width(a, q), (a, q)
-    for q in ell_moduli(3000):
+    for q in ell_moduli(10_000):
         assert moc_from_coset(1, q) == coset_width(1, q), q
+
+
+def test_moc_from_coset_reads_the_unit_mask_only_when_two_is_primitive(monkeypatch):
+    masked = []
+
+    def spy(q, p):
+        masked.append(q)
+        return unit_group_width(q, p)
+
+    unit_group_width = maxorder._unit_group_width
+    monkeypatch.setattr(maxorder, "_unit_group_width", spy)
+    for q in range(3, 2000, 2):
+        moc_from_coset(1, q)
+    assert masked == [q for q in range(3, 2000, 2) if ell_period(q) == euler_phi(q)]
+
+
+def test_moc_from_coset_walks_past_the_factor_limit():
+    # 2^65 - 1 cannot be factored here, so the orbit is walked: it is the
+    # 65 powers of 2, distinct mod 2^64 and not mod 2^63.
+    q = (1 << 65) - 1
+    assert moc_from_coset(1, q) == coset_width(1, q) == 64
+    assert moc_from_coset(3, q) == coset_width(3, q)
+
+
+def test_moc_from_coset_allocates_no_mask_when_two_is_not_primitive():
+    # 2 has order 61 mod the prime 2^61 - 1, far below phi, so the 61-step
+    # walk runs and no q-byte mask is built.
+    q = (1 << 61) - 1
+    tracemalloc.start()
+    try:
+        assert moc_from_coset(1, q) == coset_width(1, q) == 60
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_moc_periodic_stabilizes():
@@ -215,6 +252,13 @@ def test_ell_moduli_membership():
             expected.append(q)
     assert mods == expected
     assert mods[:10] == [3, 5, 9, 11, 13, 19, 25, 27, 29, 37]
+
+
+def test_ell_moduli_matches_trial_division_referee():
+    expected = ell_moduli_by_trial(10_000)
+    assert ell_moduli(10_000) == expected
+    for limit in range(-1, 3001):
+        assert ell_moduli(limit) == [q for q in expected if q <= limit], limit
 
 
 def test_ell_period():

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from referees import expansion_elimination, linear_complexity_bm
+from referees import correlation_single_pass, expansion_elimination, linear_complexity_bm
 from seqlab.errors import BoundExceeded, TooShort
 from seqlab.generators import (
     IDENTITY,
@@ -33,6 +33,11 @@ from seqlab.seqcore import PeriodicSequence, Word, least_period, prefix_value
 
 def random_word(rng, length):
     return Word(bytes(rng.getrandbits(1) for _ in range(length)))
+
+
+def all_words(length):
+    for v in range(1 << length):
+        yield Word(bytes((v >> i) & 1 for i in range(length)))
 
 
 # Independent linear-complexity oracle: for each candidate order L, decide
@@ -210,6 +215,31 @@ def test_correlation_k_matches_naive():
             check_witness(bits, witness)
     w = random_word(rng, 10)
     assert correlation_k(w, 2) == correlation2(w)
+
+
+def assert_matches_single_pass(w, k):
+    value, witness = correlation_k(w, k)
+    assert (value, witness.window, witness.offsets, witness.value) == correlation_single_pass(
+        w.bits, k
+    ), (w.to01(), k)
+
+
+def test_correlation_witness_matches_single_pass_referee():
+    # The referee breaks ties as each tied lag tuple comes; the library
+    # keeps the tied tuples and breaks ties once at the end. Value and
+    # witness must agree.
+    for length in range(2, 13):
+        for w in all_words(length):
+            assert_matches_single_pass(w, 2)
+    rng = random.Random(46)
+    for _ in range(200):
+        assert_matches_single_pass(random_word(rng, rng.randrange(2, 200)), 2)
+    for k, exhaustive, longest, count in ((3, 9, 40, 60), (4, 8, 14, 60)):
+        for length in range(k, exhaustive + 1):
+            for w in all_words(length):
+                assert_matches_single_pass(w, k)
+        for _ in range(count):
+            assert_matches_single_pass(random_word(rng, rng.randrange(k, longest + 1)), k)
 
 
 def test_correlation_frozen_values():

@@ -106,7 +106,7 @@ def test_order_divides_phi():
 
 
 def test_is_two_primitive():
-    for q in range(3, 500, 2):
+    for q in range(3, 20_000, 2):
         expected = multiplicative_order(2, q) == euler_phi(q)
         assert is_two_primitive(q) == expected, q
 
