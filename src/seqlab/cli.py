@@ -36,12 +36,16 @@ MAX_GRID_POINTS = 400
 # conversion of mu, quadratic in its digits: 2.6 s for the 15832 values
 # that differ from the one before.
 MAX_ANALYZE_BITS = 32_000
-# periodic grows a suffix automaton over the first T + M bits (M the
-# maximum-order complexity, so at most 2T - 1) and runs gcds on T-bit
-# numbers and polynomials, so it grows a little faster than T: legendre at
-# p = 999983 takes 24 s and 227 MB peak (2-core container); the automaton
-# takes 2.3 s of that and sets the peak. The family's period bound (p,
-# ord_q(2), 2^r - 1) is checked before anything is built.
+# periodic sorts the T cyclic windows of the period for M, the
+# maximum-order complexity, and runs gcds on T-bit numbers and
+# polynomials, so it grows a little faster than T: legendre at p = 999983
+# takes 21 s and 109 MB peak (2-core container), 2.2 s of it in the
+# windows (24 s and 226 MB when a suffix automaton read M). A period whose
+# 60-bit windows tie still grows the automaton over its first T + M bits
+# (at most 2T - 1) after the two sorts: 0^(T-1)1 at T = 10^6 takes 5.4 s
+# and 311 MB peak (5.2 s and 295 MB with the automaton alone). The
+# family's period bound (p, ord_q(2), 2^r - 1) is checked before anything
+# is built.
 MAX_PERIOD = 1_000_000
 
 # ---------------------------------------------------------------------------

@@ -244,14 +244,13 @@ def fcsr_word(a: int, q: int) -> PeriodicSequence:
 
 
 def _fcsr_prefix(a: int, q: int, n: int) -> Word:
-    """First n bits of the carry-register sequence, one state step per bit."""
-    inv2 = (q + 1) // 2
-    bits = bytearray()
-    cur = a
-    for _ in range(n):
-        bits.append(cur & 1)
-        cur = cur * inv2 % q
-    return Word(bytes(bits))
+    """First n bits of the carry-register sequence, from one 2-adic
+    division: the sequence is the 2-adic expansion of -a/q, so its first n
+    bits, least significant first, are those of -a * q^-1 mod 2^n."""
+    low = -a * pow(q, -1, 1 << n) % (1 << n)
+    # bin(low + 2^n) is "0b1" then the n bits, most significant first; read
+    # backwards to that prefix, they come least significant first.
+    return Word.from01(bin(low | 1 << n)[:2:-1])
 
 
 def _check_fcsr_args(a: int, q: int) -> None:

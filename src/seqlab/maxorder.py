@@ -1,14 +1,17 @@
 """Maximum-order complexity: the shortest window length whose successor map
 is single-valued over the word, read from one suffix automaton while it
-grows. The running value gives the per-prefix profile and, for a periodic
-sequence, stops the growth as soon as the value is settled; the finished
-automaton gives the value with a two-occurrence witness. Plus the
+grows. The running value gives the per-prefix profile; the finished
+automaton gives the value with a two-occurrence witness. A periodic
+sequence is read from its sorted cyclic windows instead, with the
+automaton kept for the periods whose windows tie even at 60 bits. Plus the
 number-theoretic shortcuts for carry-register sequences."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
+from operator import lshift, or_, rshift, xor
 
 from .config import oracle_bound
 from .errors import NotCoprime, NotEllModulus, OracleBoundExceeded
@@ -70,8 +73,13 @@ class _Sam:
         from a state already counted with a longer length, so it never
         raises M.
 
-        With a period T, stop before symbol n once n >= T + M(n) (see
-        moc_periodic); the list then ends at that prefix.
+        With a period T, stop before symbol n once n >= T + M(n), M(n) the
+        value of the first n symbols; the list then ends at that prefix,
+        whose M is the sequence's. A prefix of length T + M(n) holds every
+        cyclic window of length M(n) + 1, their successor map is
+        single-valued since the first n symbols hold them all, and M never
+        decreases with the prefix length. The stop comes by 2T - 1, as
+        M <= T - 1.
         """
         # One loop with the lists in locals: this runs once per symbol of
         # every word.
@@ -276,20 +284,82 @@ def _unit_group_width(q: int, p: int) -> int:
 def moc_periodic(s: PeriodicSequence) -> int:
     """Maximum-order complexity of a periodic sequence of least period T.
 
-    The value stabilizes by prefix length 2T - 1 (M <= T - 1), and the
-    automaton is fed that prefix only until symbol n with n >= T + M(n),
-    where M(n) is the value of the first n symbols:
-    - a prefix of length T + M(n) holds every cyclic window of length
-      M(n) + 1, as the T windows starting at 0, ..., T - 1 end by then;
-    - their successor map is single-valued, since the first n symbols hold
-      them all, so M(2T - 1) <= M(n);
-    - M never decreases with the prefix length, so the two are equal.
-    The stop never comes later than 2T - 1, which is all the loop reads.
+    M is 1 plus the longest common prefix L of two distinct rotations of
+    the period (T = 1, the constant sequence, has M = 0):
+    - the windows of length k of the sequence are its T cyclic windows, at
+      0, ..., T - 1. Two rotations at i and j that agree on exactly their
+      first L symbols give, for every k <= L, equal windows of length k at
+      i + L - k and j + L - k whose successors differ, so M > L;
+    - no two rotations agree on L + 1 symbols, so the cyclic windows of
+      length L + 1 are pairwise distinct, their successor map is
+      single-valued, and M <= L + 1.
+    L is found between neighbours in sorted order. For x <= y <= z,
+    lcp(x, z) = min(lcp(x, y), lcp(y, z)): y starts with the prefix that
+    x and z share, or it would not sort between them, and y cannot agree
+    with both past it, where x and z differ. So the common prefix of any
+    two sorted rotations is the least over the neighbouring pairs between
+    them, and the longest is that of some neighbouring pair.
+
+    A window of k bits with its first symbol as the high bit sorts as its
+    k symbols do, and two windows a != b share k - (a ^ b).bit_length()
+    leading symbols. When no two windows are equal, every pair differs
+    within k symbols, so the windows sort as the rotations do and this is
+    their common prefix exactly; M is k minus the least such bit length,
+    plus 1. The windows are K = min(T, 30) bits (one CPython digit), and
+    K = T has no ties, as the rotations of a least period are distinct.
+    On a tie they widen once to min(T, 60) bits from the same list, and a
+    period that still ties is fed to the automaton, which stops after its
+    first T + M symbols (_Sam.feed).
     """
     s = s.normalized()
+    if s.T == 1:
+        return 0
+    m = _windows_moc(s.word.bits)
+    if m is not None:
+        return m
     sam = _Sam()
     sam.feed(s.prefix(2 * s.T - 1).bits, s.T)
     return sam.m
+
+
+# Window width of moc_periodic's first pass: one CPython digit, so each
+# window is a one-digit int, the cheapest to build, sort and xor.
+_DIGIT_BITS = 30
+
+
+def _windows_moc(bits: bytes) -> int | None:
+    """M of the least period bits (T >= 2) from its sorted cyclic windows
+    of min(T, 30) and then min(T, 60) bits, or None when two of the wider
+    windows are still equal. The windows are freed on return, before any
+    automaton is built.
+    """
+    T = len(bits)
+    k = min(T, _DIGIT_BITS)
+    mask = (1 << k) - 1
+    w = 0
+    for c in bits[: k - 1]:
+        w = w << 1 | c
+    # windows[i] holds symbols i, ..., i + k - 1 (cyclic), symbol i highest.
+    windows = [w := (w << 1 | c) & mask for c in bits[k - 1 :] + bits[: k - 1]]
+    lcp = _longest_common_prefix(windows, k)
+    if lcp < k:
+        return lcp + 1
+    # A tie means T > 30. The wider window at i appends the first r symbols
+    # of the window at i + 30.
+    k = min(T, 2 * _DIGIT_BITS)
+    r = k - _DIGIT_BITS
+    ahead = chain(islice(windows, _DIGIT_BITS, None), windows[:_DIGIT_BITS])
+    wide = map(or_, map(lshift, windows, repeat(r)), map(rshift, ahead, repeat(_DIGIT_BITS - r)))
+    lcp = _longest_common_prefix(wide, k)
+    return lcp + 1 if lcp < k else None
+
+
+def _longest_common_prefix(windows, k: int) -> int:
+    """Longest common prefix of two of the k-bit windows (at least two),
+    first symbol high, or k when two are equal: read between neighbours
+    in sorted order."""
+    ordered = sorted(windows)
+    return k - min(map(int.bit_length, map(xor, ordered, islice(ordered, 1, None))))
 
 
 # The ell moduli whose M is floor(log2 q) rather than ceil(log2 q).

@@ -152,19 +152,31 @@ def verify_lemma1(s: PeriodicSequence, instance: str | None = None) -> Verificat
 
 
 def _coset_reps(q: int):
-    """One representative per coset A<2> of the units mod q, ascending.
+    """One representative per coset A<2> of the units mod q, ascending:
+    the least member of each. q must be odd, so that doubling permutes the
+    units and each walk below returns to its start.
 
     Both sides of the coset characterization are constant on cosets (the
     member sequences are shifts of each other), so verifying one member
     per coset covers every coprime A.
     """
+    # seen[b] is 1 for the non-units, set by one slice per prime of q,
+    # and for every unit of a coset already yielded. So the first 0 byte is
+    # the least member of a new coset, and its doubling walk marks the rest.
     seen = bytearray(q)
-    for a in range(1, q):
-        if seen[a] or math.gcd(a, q) != 1:
-            continue
+    seen[0] = 1
+    for p, _ in numtheory.factorize(q):
+        seen[::p] = b"\x01" * len(range(0, q, p))
+    a = seen.find(0)
+    while a != -1:
         yield a
-        for b in maxorder._orbit(a, q):
+        b = a
+        while True:
             seen[b] = 1
+            b = b * 2 % q
+            if b == a:
+                break
+        a = seen.find(0, a + 1)
 
 
 def verify_thm4(q: int) -> VerificationReport:
@@ -642,13 +654,13 @@ class ClaimSuite:
 
 
 # Every claim, each declared once, in report order. thm2 and thm6 evaluate
-# one word per rotation class, about 2^T/T per T: 2.4 s and 2.6 s at their
+# one word per rotation class, about 2^T/T per T: 2.0 s and 1.6 s at their
 # cap T = 20. lemma1 visits every word, so each step of T doubles it: 10 s
 # at its cap 16. lowerbound takes 0.07 s at --nmax 8000, 0.20 s at 16000
 # and 0.67 s at 32000. The caps keep one run to seconds. The suites without
-# a flag take 0.27 s (thm4) or less. All are medians of five runs, taken
-# back to back on a 2-core container. The least bound is the smallest with
-# a meaning: below it an exhaustive suite would run on no words and pass.
+# a flag take 0.23 s (thm4) or less. All are medians of five runs on a
+# 2-core container. The least bound is the smallest with a meaning: below
+# it an exhaustive suite would run on no words and pass.
 CLAIM_SUITES = {
     "cor1": ClaimSuite(cor1_suite),
     "lemma1": ClaimSuite(lemma1_suite, "--exhaustive-T", 8, 1, 16),

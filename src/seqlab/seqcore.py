@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Union
 
-from .errors import MalformedBitFile
+from .errors import InvalidParameter, MalformedBitFile
 from .numtheory import int_log2
 
 _TO01 = bytes.maketrans(b"\x00\x01", b"01")
@@ -118,7 +118,7 @@ def least_period(w: Word) -> PeriodicSequence:
     """Normalize a period word: find the least d dividing len(w) that tiles it."""
     T = len(w)
     if T == 0:
-        raise ValueError("empty word has no period")
+        raise InvalidParameter("empty word has no period")
     data = w.bits
     for d in range(1, T + 1):
         if T % d == 0 and data == data[:d] * (T // d):

@@ -210,6 +210,18 @@ def _x_candidates(cf: int, cq: int, uf: int, uq: int) -> set[int]:
     return cands
 
 
+def carry_register_bits(a: int, q: int, n: int) -> list[int]:
+    """First n bits of the carry-register sequence s_i = (a * 2^-i mod q)
+    mod 2, one register step per bit: halve the state mod q."""
+    inv2 = (q + 1) // 2
+    bits = []
+    cur = a
+    for _ in range(n):
+        bits.append(cur & 1)
+        cur = cur * inv2 % q
+    return bits
+
+
 def coset_orbit(a: int, q: int) -> set[int]:
     """The doubling orbit of a mod q, walked until an element repeats."""
     orbit = set()

@@ -4,7 +4,10 @@ import hashlib
 import io
 import json
 import contextlib
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -652,7 +655,7 @@ def test_outputs_byte_identical():
         assert o1 == o2, args
 
 
-def test_error_exit_codes():
+def test_error_exit_codes(tmp_path):
     code, _, err = run(["periodic", "--seq", "ell:q=10,A=3"])
     assert code == 2 and err.startswith("error:")
     code, _, err = run(["analyze", "--seq", "thue-morse@poly=n^", "--nmax", "8"])
@@ -663,6 +666,23 @@ def test_error_exit_codes():
     assert code == 2
     code, _, err = run(["analyze", "--seq", "file:path=/nonexistent.bits", "--nmax", "4"])
     assert code == 2
+    blank = tmp_path / "blank.bits"
+    blank.write_text(" \n\n ")
+    code, out, err = run(["periodic", "--seq", f"file:path={blank}"])
+    assert code == 2 and out == "" and err == "error: empty word has no period\n"
+
+
+def test_python_dash_m_runs_the_cli():
+    # The child imports the same seqlab as this process.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    for args, code in (
+        (["periodic", "--seq", "ell:q=11,A=1", "--format", "json"], 0),
+        (["periodic", "--seq", "ell:q=10,A=3"], 2),
+    ):
+        done = subprocess.run(
+            [sys.executable, "-m", "seqlab", *args], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert (done.returncode, done.stdout, done.stderr) == run(args) and done.returncode == code
 
 
 def test_main_builds_one_parser_and_answers_as_a_fresh_one(monkeypatch):

@@ -42,7 +42,7 @@ from seqlab.generators import (
 from seqlab.numtheory import is_prime, multiplicative_order
 from seqlab.seqcore import Word, write_bits
 
-from referees import legendre_euler_word, legendre_symbol
+from referees import carry_register_bits, legendre_euler_word, legendre_symbol
 
 
 # Run-length oracle: overlapping occurrences of the all-ones block of
@@ -285,6 +285,34 @@ def test_ell_prefix_streams_past_the_period():
         n = 2 * s.T + 3
         spec = SeqSpec("ell", params=(("A", a), ("q", q)))
         assert materialize(spec, n).to01() == s.prefix(n).to01(), (a, q)
+
+
+def test_fcsr_prefix_matches_register_referee():
+    rng = random.Random(37)
+    for _ in range(3000):
+        q = rng.randrange(3, 10**6, 2)
+        a = rng.randrange(1, q)
+        if math.gcd(a, q) != 1:
+            continue
+        n = rng.randrange(0, 400)
+        assert list(generators._fcsr_prefix(a, q, n)) == carry_register_bits(a, q, n), (a, q, n)
+    for q in range(3, 300, 2):
+        for a in range(1, q):
+            if math.gcd(a, q) == 1:
+                s = fcsr_word(a, q)
+                assert list(s.word) == carry_register_bits(a, q, s.T), (a, q)
+
+
+def test_ell_prefix_is_short_work_for_a_huge_modulus():
+    q = 1_000_000_007
+    spec = SeqSpec("ell", params=(("A", 1), ("q", q)))
+    t = time.perf_counter()
+    w = materialize(spec, 8)
+    long = materialize(spec, 10**6)
+    elapsed = time.perf_counter() - t
+    assert list(w) == carry_register_bits(1, q, 8)
+    assert long[:8] == w and (q * long.value() + 1) % (1 << 10**6) == 0
+    assert elapsed < 0.5
 
 
 def test_fcsr_argument_checks():

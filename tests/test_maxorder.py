@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from referees import coset_orbit, coset_width, ell_moduli_by_trial, moc_two_periods
-from seqlab import maxorder
+from seqlab import maxorder, relations
 from seqlab.config import oracle_bound
 from seqlab.errors import NotEllModulus, OracleBoundExceeded
 from seqlab.generators import IDENTITY, fcsr_word, legendre_period, lfsr_period
@@ -23,7 +23,7 @@ from seqlab.maxorder import (
     moc_periodic,
     moc_profile,
 )
-from seqlab.numtheory import euler_phi, is_odd_prime_power, is_two_primitive
+from seqlab.numtheory import euler_phi, is_odd_prime_power, is_prime, is_two_primitive
 from seqlab.relations import PRIMITIVE_TAPS, _coset_reps, _rotation_classes
 from seqlab.seqcore import PeriodicSequence, Word
 
@@ -228,8 +228,9 @@ def test_moc_periodic_matches_two_period_referee_exhaustive():
     for T in range(1, 15):
         for w in all_words(T):
             assert_periodic_matches_referee(PeriodicSequence.from_word(w))
-    for s in _rotation_classes(16):
-        assert_periodic_matches_referee(s)
+    for T in (16, 20):
+        for s in _rotation_classes(T):
+            assert_periodic_matches_referee(s)
 
 
 def test_moc_periodic_matches_two_period_referee_on_family_periods():
@@ -241,6 +242,78 @@ def test_moc_periodic_matches_two_period_referee_on_family_periods():
     s = lfsr_period(PRIMITIVE_TAPS[14], (1,) + (0,) * 13)
     assert s.T == 2**14 - 1
     assert_periodic_matches_referee(s)
+
+
+@pytest.fixture
+def staged(monkeypatch):
+    """moc_periodic returning (M, stage): 1 when the min(T, 30)-bit windows
+    settle M, 2 when the min(T, 60)-bit windows do, 3 when the automaton
+    runs (0 for T = 1, which reads no windows)."""
+    widths, fed = [], []
+    lcp = maxorder._longest_common_prefix
+    monkeypatch.setattr(maxorder, "_longest_common_prefix", lambda ws, k: widths.append(k) or lcp(ws, k))
+
+    class CountingSam(maxorder._Sam):
+        def feed(self, bits, period=None):
+            fed.append(period)
+            return super().feed(bits, period)
+
+    monkeypatch.setattr(maxorder, "_Sam", CountingSam)
+
+    def run(s):
+        widths.clear()
+        fed.clear()
+        m = moc_periodic(s)
+        T = s.normalized().T
+        assert widths == [min(T, 30), min(T, 60)][: len(widths)] and fed in ([], [T])
+        assert not fed or len(widths) == 2
+        return m, len(widths) + len(fed)
+
+    return run
+
+
+def test_moc_periodic_single_one_periods_reach_each_stage(staged):
+    for T, stage in ((1, 0), (2, 1), (30, 1), (31, 1), (45, 2), (60, 2), (61, 2), (200, 3)):
+        s = PeriodicSequence.from_word(Word(bytes(T - 1) + b"\x01"))
+        assert staged(s) == (max(T - 1, 0), stage), T
+        assert_periodic_matches_referee(s)
+
+
+def test_moc_periodic_long_ties_match_referee_at_every_stage(staged):
+    rng = random.Random(41)
+    stages = []
+    for _ in range(40):
+        T = rng.randrange(31, 3001)
+        density = rng.choice((0.5, 0.2, 0.1, 0.03))
+        sparse = Word(bytes(int(rng.random() < density) for _ in range(T)))
+        block = random_word(rng, rng.randrange(2, 90)).bits
+        near = bytearray((block * (T // len(block) + 1))[:T])
+        for i in rng.sample(range(T), rng.randrange(1, 3)):
+            near[i] ^= 1
+        for w in (sparse, Word(bytes(near))):
+            s = PeriodicSequence.from_word(w)
+            m, stage = staged(s)
+            assert m == moc_two_periods(s.word.bits, word_moc), (w, stage)
+            stages.append(stage)
+    assert set(stages) == {1, 2, 3}
+
+
+def test_moc_periodic_legendre_99991_widens_once(staged):
+    s = legendre_period(99991, IDENTITY)
+    assert staged(s) == (43, 2)
+    assert_periodic_matches_referee(s)
+
+
+def test_moc_periodic_benchmark_families_never_reach_the_automaton(staged):
+    periods = [legendre_period(p, IDENTITY) for p in range(1001, 6000, 2) if is_prime(p)]
+    periods.append(legendre_period(20011, IDENTITY))
+    moduli = ell_moduli(2999) + [q for q, *_ in relations.TABLE1_EXPECTED]
+    periods += [fcsr_word(1, q) for q in moduli]
+    periods += [fcsr_word(a, q) for q in range(3, 1001, 2) for a in _coset_reps(q)]
+    periods += [fcsr_word(a, q) for q, *_ in relations.TABLE2_EXPECTED for a in _coset_reps(q)]
+    periods.append(lfsr_period(PRIMITIVE_TAPS[14], (1,) + (0,) * 13))
+    stages = [staged(s)[1] for s in periods]
+    assert set(stages) <= {1, 2} and 2 in stages
 
 
 def test_ell_moduli_membership():
