@@ -9,15 +9,19 @@ odd and |v| otherwise. At one length (adic_min, adic_minima) the basis
 comes from an extended Euclid on (2^N, S) stopped at the crossover, the
 2-adic form of rational reconstruction, run as Lehmer's Euclid on long
 rows; one Gauss reduction with closed-form multipliers finishes it, and the
-canonical tie-broken pair is the least of u, v, u + v and u - v. For every
-prefix (adic_profile) the basis is carried bit by bit with its residues,
-updated by shift and add and kept reduced one step at a time. An
-exhaustive oracle anchors exactness at small N.
+canonical tie-broken pair is the least of u, v, u + v and u - v. Where only
+mu is wanted, at a strictly increasing list of lengths (_mu_at; adic_profile
+is its list 1..N), each run of consecutive lengths takes one Euclid and one
+Gauss reduction at its first length, or the trivial basis at length 1, and
+then carries the basis bit by bit with its residues, updated by shift and
+add and kept reduced one step at a time; the basis is rechecked at the
+run's end. An exhaustive oracle anchors exactness at small N.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .config import oracle_bound
@@ -64,19 +68,24 @@ def _checked_pair(f: int, q: int, n: int, s: int) -> ApproxPair:
     if q <= 0 or q % 2 == 0:
         raise AssertionError(f"bad q = {q}")
     mu = max(abs(f), q)
-    if mu < 1 or (q * s - f) % full:
+    # The low n bits by a mask: % by 2^n is a long division in CPython.
+    if mu < 1 or (q * s - f) & (full - 1):
         raise AssertionError(f"pair ({f}, {q}) infeasible at N = {n}")
     return ApproxPair(f=f, q=q, n=n, mu=mu)
 
 
 def connection(s: PeriodicSequence) -> RationalRep:
     """Reduced (A, q) with the sequence's 2-adic value equal to -A/q:
-    q = (2^T - 1)/gcd(2^T - 1, S), A = S/gcd, S the period's base-2 value."""
+    q = (2^T - 1)/gcd(2^T - 1, S), A = S/gcd, S the period's base-2 value.
+
+    The pair is built without a second gcd: with g = gcd(M, S), a common
+    divisor k of M/g and S/g makes k*g a common divisor of M and S, so k*g
+    divides g and k = 1."""
     s = s.normalized()
     sv = s.word.value()
     modulus = (1 << s.T) - 1
     g = math.gcd(modulus, sv)
-    return RationalRep(A=sv // g, q=modulus // g)
+    return RationalRep._coprime(sv // g, modulus // g)
 
 
 def phi2(s: PeriodicSequence) -> AdicValue:
@@ -248,9 +257,9 @@ def adic_minima(w: Word, ns: list[int]) -> list[ApproxPair]:
     rows once for about 16 quotients of a random S: 3x faster than one
     division per quotient at n = 10^4, 13x at 3*10^5), then one sup-norm
     reduction and a four-vector readout, which suits sparse grids such as
-    a scan's. Dense ns repeat the Euclid at every length, so callers that
-    want only mu at every prefix should use adic_profile, which carries one
-    basis bit by bit.
+    a scan's. Dense ns repeat the Euclid at every length; where only mu is
+    wanted, adic_profile and the claim checkers carry one basis bit by bit
+    through each run of consecutive lengths instead.
     """
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("prefix lengths must be strictly increasing")
@@ -263,24 +272,69 @@ def adic_minima(w: Word, ns: list[int]) -> list[ApproxPair]:
 
 
 def adic_profile(w: Word) -> Profile:
-    """mu at every prefix length 1..len(w).
+    """mu at every prefix length 1..len(w): _mu_at over 1..len(w), one run
+    from the empty word, with no Euclid at all."""
+    return Profile(tuple(_mu_at(w, range(1, len(w) + 1))))
 
-    Carries a basis u, v of {(f, q): f = q*S (mod 2^n)} with the exact
-    residues r = (f - q*S)/2^n of both vectors, so a new bit b costs
-    r -= q*b and a parity test, never a product with S (the shift-and-add
-    update of Klapper & Goresky's 2-adic rational approximation). The
-    parities pick the index-2 sublattice step, and the residues follow the
-    same map. A sup-norm Gauss reduction (Kaib & Schnorr) then keeps
-    |u| <= |v| <= |v + k*u| for every integer k, which in any norm makes
-    |u| and |v| the two successive minima. If uq is even, every odd-q
-    vector has an odd, hence nonzero, v-coefficient and is independent of
-    u, so mu = |u| when uq is odd and |v| otherwise. The final basis is
-    checked once: both vectors admissible, determinant 2^N, and reduced.
+
+def _mu_at(w: Word, ns: Sequence[int]) -> list[int]:
+    """mu at each length in ns, strictly increasing within [1, len(w)].
+
+    Each maximal run a..b of consecutive lengths costs one jump and b - a
+    steps. The jump to a is _euclid_rows plus _sup_gauss (rechecked by
+    _checked_rows and _sup_reduced), with the exact residues
+    r = (f - q*S)/2^a of both vectors; a run from 1 starts instead from the
+    basis (1, 0), (0, 1) of the empty word, with residues 1 and 0. The
+    steps are _steps, and the basis at b is rechecked by
+    _check_profile_basis. So a run of k lengths costs one Euclid and k - 1
+    steps where adic_minima would run k Euclids and k readouts.
     """
-    uf, uq, ru, nu = 1, 0, 1, 1
-    vf, vq, rv, nv = 0, 1, 0, 1
-    values = []
-    for bit in w:
+    values: list[int] = []
+    if not ns:
+        return values
+    if ns[-1] - ns[0] == len(ns) - 1:
+        runs = [(ns[0], ns[-1])]
+    else:
+        runs = []
+        a = prev = ns[0]
+        for n in ns[1:]:
+            if n != prev + 1:
+                runs.append((a, prev))
+                a = n
+            prev = n
+        runs.append((a, prev))
+    s = prefix_value(w, ns[-1])
+    for a, b in runs:
+        if a == 1:
+            # The basis at length 0; the steps then read mu from length 1.
+            uf, uq, ru, vf, vq, rv = 1, 0, 1, 0, 1, 0
+            a = 0
+        else:
+            sa = s & ((1 << a) - 1)
+            uf, uq, vf, vq = _sup_gauss(*_euclid_rows(sa, a))
+            ru, rv = (uf - uq * sa) >> a, (vf - vq * sa) >> a
+            values.append(max(abs(uf), abs(uq)) if uq & 1 else max(abs(vf), abs(vq)))
+        uf, uq, vf, vq = _steps(w.bits[a:b], uf, uq, ru, vf, vq, rv, values)
+        _check_profile_basis(s & ((1 << b) - 1), b, uf, uq, vf, vq)
+    return values
+
+
+def _steps(bits: bytes, uf: int, uq: int, ru: int, vf: int, vq: int, rv: int, values: list[int]):
+    """Carry a reduced basis u, v of {(f, q): f = q*S (mod 2^n)} with the
+    exact residues r = (f - q*S)/2^n of both vectors over the next bits,
+    appending mu at each new length; returns the last basis.
+
+    A new bit b costs r -= q*b and a parity test, never a product with S
+    (the shift-and-add update of Klapper & Goresky's 2-adic rational
+    approximation). The parities pick the index-2 sublattice step, and the
+    residues follow the same map. A sup-norm Gauss reduction (Kaib &
+    Schnorr) then keeps |u| <= |v| <= |v + k*u| for every integer k, which
+    in any norm makes |u| and |v| the two successive minima. If uq is even,
+    every odd-q vector has an odd, hence nonzero, v-coefficient and is
+    independent of u, so mu = |u| when uq is odd and |v| otherwise. The
+    successive minima do not depend on the basis, so neither does mu.
+    """
+    for bit in bits:
         if bit:
             ru -= uq
             rv -= vq
@@ -321,21 +375,18 @@ def adic_profile(w: Word) -> Profile:
                 break
             uf, uq, ru, nu, vf, vq, rv, nv = vf, vq, rv, nv, uf, uq, ru, nu
         values.append(nu if uq & 1 else nv)
-    if values:
-        _check_profile_basis(w, uf, uq, vf, vq)
-    return Profile(tuple(values))
+    return uf, uq, vf, vq
 
 
-def _check_profile_basis(w: Word, uf: int, uq: int, vf: int, vq: int) -> None:
-    # One recheck per profile of the basis its last value was read from; a
-    # failure here is a bug.
-    n = len(w)
-    s = prefix_value(w, n)
+def _check_profile_basis(s: int, n: int, uf: int, uq: int, vf: int, vq: int) -> None:
+    # One recheck per run of the basis its last value was read from, s the
+    # length-n prefix value: both vectors admissible, determinant 2^n, and
+    # reduced. A failure here is a bug.
     f, q, of, oq = (uf, uq, vf, vq) if uq & 1 else (vf, vq, uf, uq)
     if q < 0:
         f, q = -f, -q
     _checked_pair(f, q, n, s)
-    if (oq * s - of) % (1 << n) or abs(uf * vq - uq * vf) != 1 << n:
+    if (oq * s - of) & ((1 << n) - 1) or abs(uf * vq - uq * vf) != 1 << n:
         raise AssertionError(f"profile basis does not span the lattice at N = {n}")
     if not _sup_reduced(uf, uq, vf, vq):
         raise AssertionError(f"profile basis not sup-norm reduced at N = {n}")

@@ -243,7 +243,12 @@ def moc_from_coset(a: int, q: int) -> int:
         factors = factorize(q)
         if two_generates(q, factors):
             return _unit_group_width(q, factors[0][0])
-    orbit = _orbit(a, q)
+    return _orbit_width(_orbit(a, q), q)
+
+
+def _orbit_width(orbit: list[int], q: int) -> int:
+    """Least N with the elements of a doubling orbit mod q distinct mod
+    2^N; 0 for an orbit of one element."""
     t = len(orbit)
     if t == 1:
         return 0

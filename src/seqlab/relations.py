@@ -54,16 +54,20 @@ class VerificationReport:
 def verify_thm1(w: Word, instance: str | None = None) -> VerificationReport:
     """The window complexity never exceeds ceil(log2 mu) + 1, at any prefix.
 
-    Both profiles are computed for every prefix length; the report records
-    the tightest point seen.
+    The report holds the first failing length, or else the first length of
+    least slack ceil(log2 mu) + 1 - M. M is read at every length, mu only at
+    the first length of each run of lengths with one value of M, which
+    gives the same report: mu is nondecreasing (a pair admissible at N + 1
+    is admissible at N), so on such a run the cap ceil(log2 mu) + 1 and the
+    slack are least at its first length. The bound fails in the run only if
+    it fails there, and no later length of the run has a smaller slack.
     """
     instance = instance or f"word len={len(w)}"
-    mprof = maxorder.moc_profile(w)
-    aprof = adic.adic_profile(w)
+    moc = maxorder.moc_profile(w).values
+    starts = _run_starts(moc, 1)
     tight = None
-    for n in range(1, len(w) + 1):
-        m = mprof.at(n)
-        mu = aprof.at(n)
+    for n, mu in zip(starts, adic._mu_at(w, starts)):
+        m = moc[n - 1]
         cap = numtheory.ceil_log2(mu) + 1
         if m > cap:
             return VerificationReport(
@@ -83,6 +87,15 @@ def verify_thm1(w: Word, instance: str | None = None) -> VerificationReport:
         PASS,
         {"lengths": len(w), "tight_N": n, "tight_moc": m, "tight_mu": mu, "tight_slack": slack},
     )
+
+
+def _run_starts(moc: tuple[int, ...], start: int) -> list[int]:
+    """The first length of each run of lengths n >= start with one value of
+    M, moc[n - 1] being M at length n."""
+    if start > len(moc):
+        return []
+    pairs = zip(moc[start - 1 :], moc[start:])
+    return [start] + [n for n, (x, y) in enumerate(pairs, start + 1) if x != y]
 
 
 def verify_cor1(w: Word, instance: str | None = None) -> VerificationReport:
@@ -128,7 +141,7 @@ def verify_lemma1(s: PeriodicSequence, instance: str | None = None) -> Verificat
     """The aperiodic minimum stabilizes at q for every N > 2T.
 
     Checks N in {2T+1, 2T+2, 2T+3} and records mu(2T), which may still fall
-    short of q.
+    short of q. The four lengths are one run: one Euclid and three steps.
     """
     s = s.normalized()
     instance = instance or f"period {s.word.to01()}"
@@ -137,8 +150,7 @@ def verify_lemma1(s: PeriodicSequence, instance: str | None = None) -> Verificat
         raise BoundExceeded(f"T = {T} > lemma1 bound {LEMMA1_T_BOUND}")
     q = adic.connection(s).q
     w = s.prefix(2 * T + 3)
-    pairs = adic.adic_minima(w, [2 * T, 2 * T + 1, 2 * T + 2, 2 * T + 3])
-    mus = [p.mu for p in pairs]
+    mus = adic._mu_at(w, [2 * T, 2 * T + 1, 2 * T + 2, 2 * T + 3])
     evidence = {
         "T": T,
         "q": q,
@@ -152,9 +164,9 @@ def verify_lemma1(s: PeriodicSequence, instance: str | None = None) -> Verificat
 
 
 def _coset_reps(q: int):
-    """One representative per coset A<2> of the units mod q, ascending:
-    the least member of each. q must be odd, so that doubling permutes the
-    units and each walk below returns to its start.
+    """Each coset A<2> of the units mod q as its doubling orbit, walked from
+    its least member, by ascending least member. q must be odd, so that
+    doubling permutes the units and each walk below returns to its start.
 
     Both sides of the coset characterization are constant on cosets (the
     member sequences are shifts of each other), so verifying one member
@@ -169,26 +181,35 @@ def _coset_reps(q: int):
         seen[::p] = b"\x01" * len(range(0, q, p))
     a = seen.find(0)
     while a != -1:
-        yield a
-        b = a
-        while True:
+        orbit = [a]
+        seen[a] = 1
+        b = a * 2 % q
+        while b != a:
+            orbit.append(b)
             seen[b] = 1
             b = b * 2 % q
-            if b == a:
-                break
+        yield orbit
         a = seen.find(0, a + 1)
 
 
 def verify_thm4(q: int) -> VerificationReport:
-    """Coset distinctness computes the same M as the generated sequence."""
+    """Coset distinctness computes the same M as the generated sequence.
+
+    Each coset is walked once: the orbit gives the width and its length
+    T = ord_q(2), the least period of the carry-register word. The walks
+    mark every unit once, so their lengths sum to phi(q).
+    """
     if not 3 <= q <= 1000 or q % 2 == 0:
         raise BoundExceeded(f"need odd 3 <= q <= 1000, got {q}")
     values = set()
     cosets = 0
-    for a in _coset_reps(q):
+    units = 0
+    for orbit in _coset_reps(q):
         cosets += 1
-        from_coset = maxorder.moc_from_coset(a, q)
-        from_word = maxorder.moc_periodic(generators.fcsr_word(a, q))
+        units += len(orbit)
+        a = orbit[0]
+        from_coset = maxorder._orbit_width(orbit, q)
+        from_word = maxorder.moc_periodic(_carry_period(a, q, len(orbit)))
         if from_coset != from_word:
             return VerificationReport(
                 "thm4",
@@ -203,12 +224,18 @@ def verify_thm4(q: int) -> VerificationReport:
         PASS,
         {
             "q": q,
-            "T": numtheory.multiplicative_order(2, q),
-            "units": numtheory.euler_phi(q),
+            "T": len(orbit),
+            "units": units,
             "cosets": cosets,
             "value_set": sorted(values),
         },
     )
+
+
+def _carry_period(a: int, q: int, T: int) -> PeriodicSequence:
+    """The carry-register sequence of the unit a mod q, given T = ord_q(2),
+    its least period, as the length of a's doubling orbit."""
+    return PeriodicSequence(generators._fcsr_prefix(a, q, T), least=True)
 
 
 def verify_thm5(q: int) -> VerificationReport:
@@ -353,7 +380,10 @@ def reproduce_table(which: int) -> list[VerificationReport]:
             t = numtheory.multiplicative_order(2, q)
             c = numtheory.ceil_log2(q)
             values = sorted(
-                {maxorder.moc_periodic(generators.fcsr_word(a, q)) for a in _coset_reps(q)}
+                {
+                    maxorder.moc_periodic(_carry_period(orbit[0], q, len(orbit)))
+                    for orbit in _coset_reps(q)
+                }
             )
             evidence = {
                 "q": q,
@@ -377,11 +407,24 @@ LOWERBOUND_FAMILIES = {
     "rudin-shapiro": (25, 6),
 }
 
+# Largest --nmax of the lowerbound suite: the command line's MAX_BITS.
+LOWERBOUND_N_MAX = 1_000_000
+
 
 def verify_lowerbound(family: str, n_max: int) -> VerificationReport:
     """ceil(log2 mu(N)) >= M(N) - 1 > N/d - 1 for every N in range.
 
-    Exact integer comparisons: the second leg is checked as d*M > N.
+    Exact integer comparisons: the second leg is checked as d*M > N. The
+    report holds the first failing N, or else the first N of least margin
+    d*M - N, the same as a check at every N would give:
+    - the first leg is the thm1 bound, tightest at the first length of each
+      run of lengths with one value of M (see verify_thm1), so it first
+      fails, if at all, at a run start;
+    - on a run from a to b with one M, d*M - N falls as N grows, so the
+      least margin is at b and the second leg first fails at max(a, d*M)
+      if d*M <= b. Both need M only.
+    So mu is read at the run starts before the second leg's first failure,
+    and at that failure, for its evidence.
     """
     if family not in LOWERBOUND_FAMILIES:
         raise InvalidParameter(f"no proved bound for {family!r}")
@@ -390,12 +433,19 @@ def verify_lowerbound(family: str, n_max: int) -> VerificationReport:
         raise InvalidParameter(f"need n_max >= {start} for {family}, got {n_max}")
     w = generators.materialize(generators.SeqSpec(family), n_max)
     instance = f"{family} {start}<=N<={n_max}"
-    mprof = maxorder.moc_profile(w)
-    aprof = adic.adic_profile(w)
+    moc = maxorder.moc_profile(w).values
+    starts = _run_starts(moc, start)
+    ns = starts
     min_slack = None
-    for n in range(start, n_max + 1):
-        m = mprof.at(n)
-        mu = aprof.at(n)
+    for i, (a, b) in enumerate(zip(starts, [n - 1 for n in starts[1:]] + [n_max])):
+        m = moc[a - 1]
+        if d * m <= b:
+            ns = starts[:i] + [max(a, d * m)]
+            break
+        if min_slack is None or d * m - b < min_slack[0]:
+            min_slack = (d * m - b, b, m)
+    for n, mu in zip(ns, adic._mu_at(w, ns)):
+        m = moc[n - 1]
         if numtheory.ceil_log2(mu) < m - 1 or d * m <= n:
             return VerificationReport(
                 "lowerbound",
@@ -403,8 +453,6 @@ def verify_lowerbound(family: str, n_max: int) -> VerificationReport:
                 FAIL,
                 {"N": n, "moc": m, "mu": mu, "denominator": d},
             )
-        if min_slack is None or d * m - n < min_slack[0]:
-            min_slack = (d * m - n, n, m)
     evidence = {
         "denominator": d,
         "n_max": n_max,
@@ -655,17 +703,19 @@ class ClaimSuite:
 
 # Every claim, each declared once, in report order. thm2 and thm6 evaluate
 # one word per rotation class, about 2^T/T per T: 2.0 s and 1.6 s at their
-# cap T = 20. lemma1 visits every word, so each step of T doubles it: 10 s
-# at its cap 16. lowerbound takes 0.07 s at --nmax 8000, 0.20 s at 16000
-# and 0.67 s at 32000. The caps keep one run to seconds. The suites without
-# a flag take 0.23 s (thm4) or less. All are medians of five runs on a
-# 2-core container. The least bound is the smallest with a meaning: below
-# it an exhaustive suite would run on no words and pass.
+# cap T = 20. lemma1 visits every word, so each step of T doubles it: 6 s
+# at its cap 16. lowerbound reads mu only where M rises, 18 times per
+# family up to 10^6: 0.014 s at --nmax 8000, 0.06 s at 32000 and 6.7 s at
+# its cap 10^6, within a scan's 7 to 9 s there. The caps keep one run to
+# seconds. The suites without a flag take 0.15 s (thm4) or less. All are
+# medians of five runs on a 2-core container. The least bound is the
+# smallest with a meaning: below it an exhaustive suite would run on no
+# words and pass.
 CLAIM_SUITES = {
     "cor1": ClaimSuite(cor1_suite),
     "lemma1": ClaimSuite(lemma1_suite, "--exhaustive-T", 8, 1, 16),
     "lemma3": ClaimSuite(lambda: [lemma3_scan(30)]),
-    "lowerbound": ClaimSuite(lowerbound_suite, "--nmax", 2000, None, 32000),
+    "lowerbound": ClaimSuite(lowerbound_suite, "--nmax", 2000, None, LOWERBOUND_N_MAX),
     "msequence": ClaimSuite(msequence_suite),
     "thm1": ClaimSuite(thm1_suite),
     "thm2": ClaimSuite(thm2_suite, "--exhaustive-T", 10, 1, 20),
@@ -771,10 +821,8 @@ def conjecture_scan(
         w = per.prefix(n_max)
     else:
         w = generators.materialize(spec, n_max)
-    pairs = adic.adic_minima(w, grid)
     points = []
-    for n, pair in zip(grid, pairs):
-        mu = pair.mu
+    for n, mu in zip(grid, adic._mu_at(w, grid)):
         l2 = numtheory.int_log2(mu)
         target = n / 2 if cap is None else min(n / 2, cap)
         dev = l2 - target

@@ -144,12 +144,25 @@ class RationalRep:
     q: int
 
     def __post_init__(self):
+        self._check_range()
+        if math.gcd(self.A, self.q) != 1:
+            raise ValueError(f"gcd({self.A}, {self.q}) != 1")
+
+    @classmethod
+    def _coprime(cls, A: int, q: int) -> "RationalRep":
+        """A pair its caller has divided by its gcd: the range is checked,
+        the gcd is not computed again."""
+        rep = object.__new__(cls)
+        object.__setattr__(rep, "A", A)
+        object.__setattr__(rep, "q", q)
+        rep._check_range()
+        return rep
+
+    def _check_range(self) -> None:
         if self.q <= 0 or self.q % 2 == 0:
             raise ValueError(f"q must be odd positive, got {self.q}")
         if not 0 <= self.A <= self.q:
             raise ValueError(f"A = {self.A} outside [0, {self.q}]")
-        if math.gcd(self.A, self.q) != 1:
-            raise ValueError(f"gcd({self.A}, {self.q}) != 1")
 
     @property
     def phi2(self) -> float:

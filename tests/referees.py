@@ -332,6 +332,94 @@ def thm6_per_word(t_max: int, moc, conn_q) -> list[tuple]:
     return rows
 
 
+def lemma1_per_length(t_max: int, conn_q, mu) -> list[tuple]:
+    """The lemma1 suite with mu read at each of 2T, ..., 2T + 3 on its own:
+    the recorded gap period 01001 first, then one row
+    (claim_id, instance, status, evidence) per T over every least-period
+    word, stopping a T at its first word with mu(N) != q for some N in
+    2T + 1..2T + 3. conn_q maps a period (a bit tuple) to q, and mu(bits, n)
+    gives mu of the first n of bits."""
+
+    def check(bits):
+        T = len(bits)
+        q = conn_q(bits)
+        prefix = (bits * 5)[: 2 * T + 3]
+        mus = [mu(prefix, n) for n in range(2 * T, 2 * T + 4)]
+        evidence = {"T": T, "q": q, "mu_2T": mus[0], "mu_after": mus[1:], "gap_at_2T": mus[0] < q}
+        return all(m == q for m in mus[1:]), evidence
+
+    ok, evidence = check((0, 1, 0, 0, 1))
+    rows = [("lemma1", "period 01001", "pass" if ok else "fail", evidence)]
+    for T in range(1, t_max + 1):
+        words = 0
+        gaps = 0
+        failed = None
+        for bits in least_period_words(T):
+            words += 1
+            ok, evidence = check(bits)
+            if not ok:
+                failed = ("lemma1", f"exhaustive T={T}", "fail", evidence)
+                break
+            gaps += evidence["gap_at_2T"]
+        rows.append(
+            failed
+            or ("lemma1", f"exhaustive T={T}", "pass", {"T": T, "words": words, "gaps_at_2T": gaps})
+        )
+    return rows
+
+
+def thm1_per_prefix(bits, moc, mu, instance: str | None = None) -> tuple:
+    """The thm1 report on bits (a sequence of bits) with M and mu read at
+    every prefix length, as (claim_id, instance, status, evidence): the
+    first N with M > ceil(log2 mu) + 1, or else the first N of least slack.
+    moc(n) and mu(n) give M and mu of the first n of bits."""
+    instance = instance or f"word len={len(bits)}"
+    tight = None
+    for n in range(1, len(bits) + 1):
+        m, u = moc(n), mu(n)
+        cap = _ceil_log2(u) + 1
+        if m > cap:
+            word = "".join(map(str, bits[:n]))
+            evidence = {"N": n, "moc": m, "mu": u, "bound": cap, "word": word}
+            return ("thm1", instance, "fail", evidence)
+        if tight is None or cap - m < tight[0]:
+            tight = (cap - m, n, m, u)
+    if tight is None:
+        return ("thm1", instance, "pass", {"lengths": 0})
+    slack, n, m, u = tight
+    evidence = {
+        "lengths": len(bits),
+        "tight_N": n,
+        "tight_moc": m,
+        "tight_mu": u,
+        "tight_slack": slack,
+    }
+    return ("thm1", instance, "pass", evidence)
+
+
+def lowerbound_per_prefix(family: str, start: int, d: int, n_max: int, moc, mu) -> tuple:
+    """The lowerbound report with M and mu read at every N from start to
+    n_max, as (claim_id, instance, status, evidence): the first N with
+    ceil(log2 mu) < M - 1 or d*M <= N, or else the first N of least margin
+    d*M - N. moc(n) and mu(n) give M and mu at length n."""
+    instance = f"{family} {start}<=N<={n_max}"
+    tight = None
+    for n in range(start, n_max + 1):
+        m, u = moc(n), mu(n)
+        if _ceil_log2(u) < m - 1 or d * m <= n:
+            return ("lowerbound", instance, "fail", {"N": n, "moc": m, "mu": u, "denominator": d})
+        if tight is None or d * m - n < tight[0]:
+            tight = (d * m - n, n, m)
+    evidence = {
+        "denominator": d,
+        "n_max": n_max,
+        "tight_N": tight[1],
+        "tight_moc": tight[2],
+        "tight_margin": tight[0],
+    }
+    return ("lowerbound", instance, "pass", evidence)
+
+
 def analyze_csv(seq: str, columns, rows) -> str:
     """analyze's CSV written with csv.writer: the header naming the columns,
     the "# seq=" line, then one row per prefix with None written as an

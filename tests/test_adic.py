@@ -262,6 +262,55 @@ def test_single_lengths_do_not_push(monkeypatch):
     assert conjecture_scan(SeqSpec("thue-morse"), 64).points[-1].n == 64
 
 
+def test_mu_at_matches_adic_min_exhaustive():
+    # Every word up to 12 bits, read at every window a..b of lengths: one
+    # length, every length, and all between. A window ending at b reads only
+    # the first b bits, so each b-bit word is read once, as the prefix of
+    # its zero extension to 12 bits.
+    for v, w in enumerate(all_words(12)):
+        want = [adic_min(w, n).mu for n in range(1, 13)]
+        assert adic._mu_at(w, range(1, 13)) == want, w.to01()
+        for b in range(v.bit_length() or 1, 13):
+            for a in range(1, b + 1):
+                assert adic._mu_at(w, list(range(a, b + 1))) == want[a - 1 : b], (w.to01(), a, b)
+
+
+def test_mu_at_matches_adic_min_random_long():
+    rng = random.Random(41)
+    for _ in range(300):
+        w = random_word(rng, rng.randrange(1, 3001))
+        ns = set(rng.sample(range(1, len(w) + 1), min(len(w), 3)))
+        for _ in range(2):
+            a = rng.randrange(1, len(w) + 1)
+            ns.update(range(a, min(a + rng.randrange(1, 6), len(w) + 1)))
+        ns = sorted(ns)
+        assert adic._mu_at(w, ns) == [adic_min(w, n).mu for n in ns], (len(w), ns)
+
+
+def test_mu_at_checks_every_jump_and_every_run(monkeypatch):
+    # One Euclid per run not starting at 1, rechecked as rows and as a
+    # reduced basis; the basis at each run's end rechecked as a lattice basis.
+    w = Word.from01("0100110101110001")
+    ns = [1, 2, 3, 5, 6, 9, 14, 15, 16]
+    want = [adic_min(w, n).mu for n in ns]
+    calls = {"rows": [], "reduced": 0, "basis": []}
+    rows, reduced, basis = adic._checked_rows, adic._sup_reduced, adic._check_profile_basis
+
+    def count_reduced(*args):
+        calls["reduced"] += 1
+        return reduced(*args)
+
+    monkeypatch.setattr(adic, "_checked_rows", lambda *a: calls["rows"].append(a[0]) or rows(*a))
+    monkeypatch.setattr(adic, "_sup_reduced", count_reduced)
+    monkeypatch.setattr(
+        adic, "_check_profile_basis", lambda *a: calls["basis"].append(a[1]) or basis(*a)
+    )
+    assert adic._mu_at(w, ns) == want
+    assert calls["rows"] == [5, 9, 14]
+    assert calls["basis"] == [3, 6, 9, 16]
+    assert calls["reduced"] == 3 + 4
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=16), st.data())
 def test_adic_min_equals_oracle_property(bits, data):
@@ -346,6 +395,30 @@ def test_connection_known_pairs():
     assert connection(least_period(Word.from01("01"))) == RationalRep(2, 3)
     for a, q in [(3, 31), (5, 31), (37, 127), (173, 255), (1, 11)]:
         assert connection(fcsr_word(a, q)) == RationalRep(a, q)
+
+
+def test_connection_runs_one_gcd(monkeypatch):
+    # connection divides by g = gcd(2^T - 1, S) and builds the pair without
+    # a second gcd; the public constructor still refuses a pair with a
+    # common factor.
+    rng = random.Random(42)
+    words = [random_word(rng, rng.randrange(1, 40)) for _ in range(100)]
+    periods = [PeriodicSequence.from_word(w) for w in words]
+    want = [(r.A, r.q) for r in map(connection, periods)]
+    for A, q in want:
+        assert RationalRep(A, q) == RationalRep._coprime(A, q)
+    calls = []
+    gcd = math.gcd
+    monkeypatch.setattr(math, "gcd", lambda *a: calls.append(a) or gcd(*a))
+    assert [(r.A, r.q) for r in map(connection, periods)] == want
+    assert len(calls) == len(periods)
+    monkeypatch.undo()
+    for A, q in ((3, 9), (0, 3), (5, 15), (9, 9)):
+        with pytest.raises(ValueError):
+            RationalRep(A, q)
+    for A, q in ((1, 2), (-1, 3), (4, 3)):
+        with pytest.raises(ValueError):
+            RationalRep._coprime(A, q)
 
 
 def test_connection_identity():

@@ -504,7 +504,7 @@ def test_verify_bounds_above_maximum_exit_before_running(monkeypatch):
         ("thm6", "--exhaustive-T", 21),
         ("thm2", "--exhaustive-T", 21),
         ("lemma1", "--exhaustive-T", 17),
-        ("lowerbound", "--nmax", 32001),
+        ("lowerbound", "--nmax", 1_000_001),
     )
     for claim, flag, bound in cases:
         monkeypatch.setitem(relations.CLAIMS, claim, never)

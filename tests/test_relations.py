@@ -7,8 +7,16 @@ import random
 import pytest
 
 import seqlab.relations as relations
-from referees import coset_orbit, thm2_per_word, thm6_per_word
-from seqlab import adic, maxorder
+from referees import (
+    coset_orbit,
+    coset_width,
+    lemma1_per_length,
+    lowerbound_per_prefix,
+    thm1_per_prefix,
+    thm2_per_word,
+    thm6_per_word,
+)
+from seqlab import adic, cli, generators, maxorder, numtheory
 from seqlab.adic import adic_min
 from seqlab.errors import BoundExceeded, InvalidParameter
 from seqlab.generators import SeqSpec, PolySpec, fcsr_word, legendre_period, IDENTITY
@@ -44,6 +52,7 @@ from seqlab.relations import (
     verify_thm5,
     verify_thm6,
 )
+from seqlab.maxorder import moc_profile
 from seqlab.seqcore import PeriodicSequence, Profile, Word, least_period
 
 
@@ -131,7 +140,28 @@ def test_verify_thm4_and_thm5():
 def test_coset_reps_are_the_least_member_of_each_coset():
     for q in list(range(3, 258, 2)) + [511, 997, 999]:
         least = {min(coset_orbit(a, q)) for a in range(1, q) if math.gcd(a, q) == 1}
-        assert list(relations._coset_reps(q)) == sorted(least), q
+        orbits = list(relations._coset_reps(q))
+        assert [orbit[0] for orbit in orbits] == sorted(least), q
+        for orbit in orbits:
+            assert orbit == [orbit[0] * pow(2, k, q) % q for k in range(len(orbit))], q
+            assert set(orbit) == coset_orbit(orbit[0], q), q
+
+
+def test_thm4_walks_each_coset_once(monkeypatch):
+    # T and units come from the walks; the width from each walked orbit.
+    for q in range(3, 1001, 2):
+        rep = verify_thm4(q)
+        assert rep.ok(), q
+        assert rep.evidence["T"] == numtheory.multiplicative_order(2, q), q
+        assert rep.evidence["units"] == numtheory.euler_phi(q), q
+    for q in (9, 51, 63, 217, 341, 999):
+        for orbit in relations._coset_reps(q):
+            assert maxorder._orbit_width(orbit, q) == coset_width(orbit[0], q)
+            assert maxorder.moc_from_coset(orbit[0], q) == coset_width(orbit[0], q)
+    for name in ("multiplicative_order", "euler_phi"):
+        monkeypatch.setattr(numtheory, name, lambda *_: pytest.fail("per-coset number theory"))
+    monkeypatch.setattr(maxorder, "_orbit", lambda *_: pytest.fail("second orbit walk"))
+    assert [r.ok() for r in thm4_suite(101)] == [True] * 50
 
 
 def test_lemma3_scan_hits():
@@ -324,7 +354,7 @@ def test_claim_table_drives_registry_and_caps(monkeypatch):
     sized = {c: (r.flag, r.default, r.maximum) for c, r in CLAIM_SUITES.items() if r.flag}
     assert sized == {
         "lemma1": ("--exhaustive-T", 8, 16),
-        "lowerbound": ("--nmax", 2000, 32000),
+        "lowerbound": ("--nmax", 2000, 1_000_000),
         "thm2": ("--exhaustive-T", 10, 20),
         "thm6": ("--exhaustive-T", 12, 20),
     }
@@ -434,3 +464,133 @@ def test_run_all_deterministic():
     a = reports_to_csv(run_all())
     b = reports_to_csv(run_all())
     assert a == b
+
+
+def _mu_of(bits, n):
+    return adic_min(Word(bytes(bits)), n).mu
+
+
+def test_lemma1_suite_matches_per_length_referee():
+    # The suite reads 2T..2T+3 as one run; the referee runs adic_min at
+    # each length.
+    assert _rows(lemma1_suite(12)) == lemma1_per_length(12, _q_of, _mu_of)
+
+
+def _thm1_referee(w, instance=None):
+    m, mu = maxorder.moc_profile(w).values, adic.adic_profile(w).values
+    return thm1_per_prefix(w.bits, lambda n: m[n - 1], lambda n: mu[n - 1], instance)
+
+
+def test_thm1_matches_per_prefix_referee_exhaustive():
+    # mu is read only where M changes; the report is the one a read at
+    # every prefix gives, on every word up to 14 bits.
+    for length in range(15):
+        for v in range(1 << length):
+            w = Word(bytes((v >> i) & 1 for i in range(length)))
+            assert _rows([verify_thm1(w)]) == [_thm1_referee(w)], w.to01()
+
+
+def test_thm1_matches_per_prefix_referee_on_failures(monkeypatch):
+    # M raised by 3 from one length on fails the bound at a length that is
+    # a run start only by the fault; the referee sees the same profile.
+    rng = random.Random(52)
+    words = [random_word(rng, rng.randrange(1, 90)) for _ in range(60)]
+    real = maxorder.moc_profile
+    for k in (1, 5, 20):
+        def raised(w):
+            return Profile(tuple(m + 3 * (n >= k) for n, m in enumerate(real(w).values, 1)))
+
+        monkeypatch.setattr(maxorder, "moc_profile", raised)
+        fails = 0
+        for w in words:
+            rep = verify_thm1(w)
+            assert _rows([rep]) == [_thm1_referee(w)], (k, w.to01())
+            fails += rep.status == "fail"
+        assert fails > 0, k
+
+
+def _lowerbound_rows(family, n_max, moc, mu):
+    start, d = relations.LOWERBOUND_FAMILIES[family]
+    return lowerbound_per_prefix(family, start, d, n_max, lambda n: moc[n - 1], lambda n: mu[n - 1])
+
+
+def test_lowerbound_matches_per_prefix_referee():
+    rng = random.Random(53)
+    for family, (start, _) in relations.LOWERBOUND_FAMILIES.items():
+        w = generators.materialize(SeqSpec(family), 32000)
+        moc, mu = moc_profile(w).values, adic.adic_profile(w).values
+        sampled = sorted(rng.sample(range(301, 32001), 8)) + [32000]
+        for n_max in [*range(start, 301), *sampled]:
+            rep = verify_lowerbound(family, n_max)
+            assert _rows([rep]) == [_lowerbound_rows(family, n_max, moc, mu)], (family, n_max)
+
+
+def test_lowerbound_matches_per_prefix_referee_on_failures(monkeypatch):
+    # Smaller denominators fail the d*M > N leg, often between the lengths
+    # where M rises, where mu is read for the evidence alone; M raised by
+    # 100 from one length on fails the mu leg.
+    real = maxorder.moc_profile
+    for family, (start, d) in list(relations.LOWERBOUND_FAMILIES.items()):
+        w = generators.materialize(SeqSpec(family), 300)
+        moc, mu = real(w).values, adic.adic_profile(w).values
+        seen = set()
+        for d_bad in range(2, d):
+            monkeypatch.setitem(relations.LOWERBOUND_FAMILIES, family, (start, d_bad))
+            for n_max in range(start, 301):
+                rep = verify_lowerbound(family, n_max)
+                assert _rows([rep]) == [_lowerbound_rows(family, n_max, moc, mu)], (d_bad, n_max)
+                if rep.status == "fail":
+                    seen.add(moc[rep.evidence["N"] - 2] == rep.evidence["moc"])
+        assert seen == {True, False}, family
+        monkeypatch.setitem(relations.LOWERBOUND_FAMILIES, family, (start, d))
+        raised = tuple(m + 100 * (n >= 100) for n, m in enumerate(moc, 1))
+        monkeypatch.setattr(maxorder, "moc_profile", lambda w: Profile(raised[: len(w)]))
+        rep = verify_lowerbound(family, 300)
+        assert rep.status == "fail" and rep.evidence["N"] == 100
+        assert _rows([rep]) == [_lowerbound_rows(family, 300, raised, mu)]
+        monkeypatch.setattr(maxorder, "moc_profile", real)
+
+
+def test_mu_read_one_length_late_is_caught(monkeypatch):
+    # A reader that answers for each length with mu one length later must
+    # break the comparisons with the per-length referees.
+    rng = random.Random(54)
+    words = [random_word(rng, 24) for _ in range(20)]
+    thm1_rows = [_thm1_referee(w) for w in words]
+    real = adic._mu_at
+
+    def late(w, ns):
+        return real(w, [min(n + 1, len(w)) for n in ns])
+
+    monkeypatch.setattr(adic, "_mu_at", late)
+    assert [row for w in words for row in _rows([verify_thm1(w)])] != thm1_rows
+    assert _rows(lemma1_suite(4)) != lemma1_per_length(4, _q_of, _mu_of)
+
+
+def test_conjecture_scan_head_is_one_euclid(monkeypatch):
+    calls = []
+    real = adic._checked_rows
+    monkeypatch.setattr(adic, "_checked_rows", lambda *args: calls.append(args[0]) or real(*args))
+    rep = conjecture_scan(SeqSpec("rudin-shapiro"), 200)
+    assert [p.n for p in rep.points] == grid_points(200)
+    assert calls == [2, 84, 110, 143, 186, 200]
+    w = generators.materialize(SeqSpec("rudin-shapiro"), 200)
+    assert [p.mu for p in rep.points] == [adic_min(w, n).mu for n in grid_points(200)]
+
+
+def test_verify_outputs_pinned():
+    # SHA-256 of the verify all CSV and the lemma1 CSV at --exhaustive-T 10,
+    # recorded when every claim read mu at every length it names (adic_min
+    # per length in lemma1, adic_profile at every prefix in thm1 and
+    # lowerbound) and thm4 walked each coset three times.
+    expected = {
+        None: "9961bfd9617140459acc93e7f3779ca142a110f11b0e7284ad8e8a7c9aafb8ca",
+        ("lemma1", 10): "23a4e7fca4dd2568996e2d0dea05f6ae78233e081f97cdaf5d1638614974d6fc",
+    }
+    for key, digest in expected.items():
+        reports = run_all() if key is None else run_claim(*key)
+        assert hashlib.sha256(reports_to_csv(reports).encode()).hexdigest() == digest, key
+
+
+def test_lowerbound_cap_is_the_bit_cap():
+    assert CLAIM_SUITES["lowerbound"].maximum == cli.MAX_BITS
