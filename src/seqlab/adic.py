@@ -10,7 +10,7 @@ comes from an extended Euclid on (2^N, S) stopped at the crossover, the
 2-adic form of rational reconstruction, run as Lehmer's Euclid on long
 rows; one Gauss reduction with closed-form multipliers finishes it, and the
 canonical tie-broken pair is the least of u, v, u + v and u - v. Where only
-mu is wanted, at a strictly increasing list of lengths (_mu_at; adic_profile
+mu is wanted, at a strictly increasing list of lengths (adic_mu; adic_profile
 is its list 1..N), each run of consecutive lengths takes one Euclid and one
 Gauss reduction at its first length, or the trivial basis at length 1, and
 then carries the basis bit by bit with its residues, updated by shift and
@@ -247,6 +247,14 @@ def adic_min(w: Word, n: int) -> ApproxPair:
     return _min_pair(prefix_value(w, n), n)
 
 
+def _check_lengths(w: Word, ns: Sequence[int]) -> None:
+    """Raise ValueError unless ns is strictly increasing within [1, len(w)]."""
+    if any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ValueError("prefix lengths must be strictly increasing")
+    if ns and not 1 <= ns[0] <= ns[-1] <= len(w):
+        raise ValueError(f"prefix lengths must lie in [1, {len(w)}]")
+
+
 def adic_minima(w: Word, ns: list[int]) -> list[ApproxPair]:
     """Minimizing pairs at several prefix lengths; ns must be strictly
     increasing.
@@ -261,24 +269,22 @@ def adic_minima(w: Word, ns: list[int]) -> list[ApproxPair]:
     wanted, adic_profile and the claim checkers carry one basis bit by bit
     through each run of consecutive lengths instead.
     """
-    if any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ValueError("prefix lengths must be strictly increasing")
+    _check_lengths(w, ns)
     if not ns:
         return []
-    if not 1 <= ns[0] <= ns[-1] <= len(w):
-        raise ValueError(f"prefix lengths must lie in [1, {len(w)}]")
     s = prefix_value(w, ns[-1])
     return [_min_pair(s & ((1 << n) - 1), n) for n in ns]
 
 
 def adic_profile(w: Word) -> Profile:
-    """mu at every prefix length 1..len(w): _mu_at over 1..len(w), one run
+    """mu at every prefix length 1..len(w): adic_mu over 1..len(w), one run
     from the empty word, with no Euclid at all."""
-    return Profile(tuple(_mu_at(w, range(1, len(w) + 1))))
+    return Profile(tuple(adic_mu(w, range(1, len(w) + 1))))
 
 
-def _mu_at(w: Word, ns: Sequence[int]) -> list[int]:
-    """mu at each length in ns, strictly increasing within [1, len(w)].
+def adic_mu(w: Word, ns: Sequence[int]) -> list[int]:
+    """mu at each length in ns, which must be strictly increasing within
+    [1, len(w)] (ValueError otherwise).
 
     Each maximal run a..b of consecutive lengths costs one jump and b - a
     steps. The jump to a is _euclid_rows plus _sup_gauss (rechecked by
@@ -289,6 +295,7 @@ def _mu_at(w: Word, ns: Sequence[int]) -> list[int]:
     _check_profile_basis. So a run of k lengths costs one Euclid and k - 1
     steps where adic_minima would run k Euclids and k readouts.
     """
+    _check_lengths(w, ns)
     values: list[int] = []
     if not ns:
         return values

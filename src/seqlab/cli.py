@@ -39,8 +39,9 @@ MAX_ANALYZE_BITS = 32_000
 # periodic sorts the T cyclic windows of the period for M, the
 # maximum-order complexity, and runs gcds on T-bit numbers and
 # polynomials, so it grows a little faster than T: legendre at p = 999983
-# takes 21 s and 109 MB peak (2-core container), 2.2 s of it in the
-# windows (24 s and 226 MB when a suffix automaton read M). A period whose
+# takes 22 s and 99 MB peak (median of six runs, 20 to 24 s, 2-core
+# container), about 2 s of it in the windows, 10 to 12 s in the polynomial
+# gcd for L and 3.5 s printing A and q in decimal. A period whose
 # 60-bit windows tie still grows the automaton over its first T + M bits
 # (at most 2T - 1) after the two sorts: 0^(T-1)1 at T = 10^6 takes 5.4 s
 # and 311 MB peak (5.2 s and 295 MB with the automaton alone). The
@@ -164,6 +165,22 @@ def parse_seqspec(text: str) -> SeqSpec:
 
 
 # ---------------------------------------------------------------------------
+# output: every verb's CSV and JSON, a pure function of the data
+
+def _json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _csv(head: tuple[str, ...], rows, tail: tuple[str, ...] = ()) -> str:
+    """The comment lines head, csv.writer's rows, then the comment lines tail."""
+    buf = io.StringIO()
+    buf.writelines(line + "\n" for line in head)
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    buf.writelines(line + "\n" for line in tail)
+    return buf.getvalue()
+
+
+# ---------------------------------------------------------------------------
 # analyze
 
 # Measure -> its output columns, in canonical column order.
@@ -229,15 +246,11 @@ def _json_scalar(v) -> str:
 def _analyze_text(spec: SeqSpec, nmax: int, names: tuple[str, ...], fmt: str) -> str:
     columns, values = _analyze_columns(spec, nmax, names)
     if fmt == "json":
-        # The bytes of json.dumps(payload, sort_keys=True,
-        # separators=(",", ":")) on the zipped rows, with each field
+        # The bytes of _json(payload) on the zipped rows, with each field
         # formatted once per run of equal values as in the CSV.
         fields = zip(*(_fields(v, "null", _json_scalar) for v in values))
         rows = ",".join("[" + ",".join(row) + "]" for row in fields)
-        return (
-            f'{{"columns":{json.dumps(columns, separators=(",", ":"))},'
-            f'"rows":[{rows}],"seq":{json.dumps(spec.text())}}}\n'
-        )
+        return f'{{"columns":{_json(columns)},"rows":[{rows}],"seq":{_json(spec.text())}}}\n'
     # No field holds a delimiter, quote or newline, and every row starts
     # with N, so none is the lone empty field csv.writer would quote:
     # joining gives csv.writer's bytes. The fields stay lazy, so only the
@@ -260,23 +273,11 @@ def _periodic_text(spec: SeqSpec, fmt: str) -> str:
     sym = adic.AdicValue(min(rep.q, adic.connection(reverse_period(s)).q))
     m = maxorder.moc_periodic(s)
     lin = measures.linear_complexity_periodic(s.word)
+    columns = ("T", "A", "q", "phi2", "phi2_symmetric", "M", "L")
+    row = (s.T, rep.A, rep.q, f"{phi.log2:.6f}", f"{sym.log2:.6f}", m, lin)
     if fmt == "json":
-        payload = {
-            "seq": spec.text(),
-            "T": s.T,
-            "A": rep.A,
-            "q": rep.q,
-            "phi2": f"{phi.log2:.6f}",
-            "phi2_symmetric": f"{sym.log2:.6f}",
-            "M": m,
-            "L": lin,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    buf = io.StringIO()
-    buf.write("# seqlab-periodic-v1: T,A,q,phi2,phi2_symmetric,M,L\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([s.T, rep.A, rep.q, f"{phi.log2:.6f}", f"{sym.log2:.6f}", m, lin])
-    return buf.getvalue()
+        return _json({"seq": spec.text(), **dict(zip(columns, row))}) + "\n"
+    return _csv((f"# seqlab-periodic-v1: {','.join(columns)}",), [row])
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +296,36 @@ def _verify_reports(claim: str, t_max: int | None, n_max: int | None):
     return relations.run_claim(claim, given.get(flag))
 
 
+def _reports_text(reports: list[relations.VerificationReport], fmt: str) -> str:
+    if fmt == "json":
+        # a report's fields are its keys
+        return _json([vars(r) for r in reports]) + "\n"
+    rows = ([r.claim_id, r.instance, r.status, _json(r.evidence)] for r in reports)
+    return _csv(("# seqlab-report-v1: claim_id,instance,status,evidence",), rows)
+
+
 def _flag_help(flag: str, what: str) -> str:
     rows = [(c, r) for c, r in relations.CLAIM_SUITES.items() if r.flag == flag]
     return f"{what} for " + ", ".join(f"{c} (default {r.default}, max {r.maximum or 'none'})" for c, r in rows)
+
+
+# ---------------------------------------------------------------------------
+# scan
+
+def _scan_text(report: relations.ScanReport, fmt: str) -> str:
+    columns = ("N", "mu", "log2_mu", "target", "deviation", "within")
+    rows = [
+        (p.n, p.mu, f"{p.log2_mu:.6f}", f"{p.target:.6f}", f"{p.deviation:.6f}", p.within)
+        for p in report.points
+    ]
+    c, ratio = f"{report.c:.6f}", f"{report.ratio:.6f}"
+    if fmt == "json":
+        payload = {"seq": report.seq, "n_max": report.n_max, "c": c, "ratio": ratio, "status": report.status}
+        return _json({**payload, "points": [dict(zip(columns, row)) for row in rows]}) + "\n"
+    head = (f"# seqlab-scan-v1: {','.join(columns)}", f"# seq={report.seq} n_max={report.n_max} c={c} ratio={ratio}")
+    # within is written as 0 or 1, where csv.writer would write False or True
+    rows = (row[:5] + (int(row[5]),) for row in rows)
+    return _csv(head, rows, (f"# status={report.status}",))
 
 
 # ---------------------------------------------------------------------------
@@ -364,14 +392,6 @@ def _emit(text: str, out: str | None) -> None:
             handle.write(text)
 
 
-def _reports_exit(reports, fmt: str, out: str | None) -> int:
-    if fmt == "json":
-        _emit(relations.reports_to_json(reports), out)
-    else:
-        _emit(relations.reports_to_csv(reports), out)
-    return 0 if all(r.ok() for r in reports) else 1
-
-
 def _dispatch(args) -> int:
     if args.verb == "generate":
         if args.n < 0:
@@ -379,59 +399,59 @@ def _dispatch(args) -> int:
         if args.n > MAX_BITS:
             raise BoundExceeded(f"--n {args.n} exceeds its maximum {MAX_BITS}")
         w = generators.materialize(parse_seqspec(args.seq), args.n)
-        if args.out is None:
-            write_bits(w, sys.stdout)
-        else:
-            write_bits(w, args.out)
+        write_bits(w, sys.stdout if args.out is None else args.out)
         return 0
+    code = 0
     if args.verb == "analyze":
         if args.nmax < 1:
             raise InvalidParameter(f"--nmax must be positive, got {args.nmax}")
         if args.nmax > MAX_ANALYZE_BITS:
             raise BoundExceeded(f"--nmax {args.nmax} exceeds its maximum {MAX_ANALYZE_BITS}")
         names = _parse_measures(args.measures)
-        spec = parse_seqspec(args.seq)
-        _emit(_analyze_text(spec, args.nmax, names, args.format), args.out)
-        return 0
-    if args.verb == "periodic":
+        text = _analyze_text(parse_seqspec(args.seq), args.nmax, names, args.format)
+    elif args.verb == "periodic":
         spec = parse_seqspec(args.seq)
         bound = generators.period_bound(spec)
         if bound > MAX_PERIOD:
             raise BoundExceeded(f"period up to {bound} exceeds its maximum {MAX_PERIOD}")
-        _emit(_periodic_text(spec, args.format), args.out)
-        return 0
-    if args.verb == "verify":
-        reports = _verify_reports(args.claim, args.exhaustive_t, args.nmax)
-        return _reports_exit(reports, args.format, args.out)
-    if args.verb == "tables":
-        return _reports_exit(relations.reproduce_table(args.which), args.format, args.out)
-    if args.verb == "scan":
+        text = _periodic_text(spec, args.format)
+    elif args.verb in ("verify", "tables"):
+        if args.verb == "verify":
+            reports = _verify_reports(args.claim, args.exhaustive_t, args.nmax)
+        else:
+            reports = relations.reproduce_table(args.which)
+        text = _reports_text(reports, args.format)
+        code = 0 if all(r.ok() for r in reports) else 1
+    elif args.verb == "scan":
         spec = parse_seqspec(args.seq)
         if args.nmax > MAX_BITS:
             raise BoundExceeded(f"--nmax {args.nmax} exceeds its maximum {MAX_BITS}")
         relations.grid_points(args.nmax, args.grid_ratio, MAX_GRID_POINTS)
         report = relations.conjecture_scan(spec, args.nmax, args.c, args.grid_ratio)
-        if args.format == "json":
-            _emit(relations.scan_to_json(report), args.out)
-        else:
-            _emit(relations.scan_to_csv(report), args.out)
-        # conjecture scans are report-grade and never fail the run
-        return 0
-    raise AssertionError(f"unhandled verb {args.verb}")
+        # code stays 0: conjecture scans are report-grade and never fail the run
+        text = _scan_text(report, args.format)
+    else:
+        raise AssertionError(f"unhandled verb {args.verb}")
+    _emit(text, args.out)
+    return code
 
 
 def main(argv=None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)  # exact integers print at any size
-    args = _parser().parse_args(argv)
+    # Exact integers print at any size while the CLI runs; the caller's
+    # limit on int-to-decimal conversions (Python 3.10.7 and later) comes
+    # back on every exit.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
+        args = _parser().parse_args(argv)
         return _dispatch(args)
-    except SeqLabError as exc:
+    except (SeqLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

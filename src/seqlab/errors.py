@@ -43,10 +43,10 @@ class NegativeValue(SeqLabError):
 
 
 class MalformedBitFile(SeqLabError):
-    """Bit file contains a byte other than '0', '1', or whitespace."""
+    """Bit file contains a byte other than '0', '1', or ASCII whitespace."""
 
     def __init__(self, offset: int, char: str):
-        super().__init__(f"illegal byte {char!r} at offset {offset}")
+        super().__init__(f"illegal byte {ascii(char)} at offset {offset}")
         self.offset = offset
         self.char = char
 

@@ -3,14 +3,12 @@
 Each verifier recomputes both sides of one proved relation on concrete
 instances and returns a certificate carrying the numbers it saw; failing
 certificates always pin down a counterexample. Conjecture scans are
-report-grade: their status is informative and never asserted.
+report-grade: their status is informative and never asserted. Everything
+here returns data (VerificationReport, ScanReport); cli.py writes it out.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -66,7 +64,7 @@ def verify_thm1(w: Word, instance: str | None = None) -> VerificationReport:
     moc = maxorder.moc_profile(w).values
     starts = _run_starts(moc, 1)
     tight = None
-    for n, mu in zip(starts, adic._mu_at(w, starts)):
+    for n, mu in zip(starts, adic.adic_mu(w, starts)):
         m = moc[n - 1]
         cap = numtheory.ceil_log2(mu) + 1
         if m > cap:
@@ -150,7 +148,7 @@ def verify_lemma1(s: PeriodicSequence, instance: str | None = None) -> Verificat
         raise BoundExceeded(f"T = {T} > lemma1 bound {LEMMA1_T_BOUND}")
     q = adic.connection(s).q
     w = s.prefix(2 * T + 3)
-    mus = adic._mu_at(w, [2 * T, 2 * T + 1, 2 * T + 2, 2 * T + 3])
+    mus = adic.adic_mu(w, [2 * T, 2 * T + 1, 2 * T + 2, 2 * T + 3])
     evidence = {
         "T": T,
         "q": q,
@@ -444,7 +442,7 @@ def verify_lowerbound(family: str, n_max: int) -> VerificationReport:
             break
         if min_slack is None or d * m - b < min_slack[0]:
             min_slack = (d * m - b, b, m)
-    for n, mu in zip(ns, adic._mu_at(w, ns)):
+    for n, mu in zip(ns, adic.adic_mu(w, ns)):
         m = moc[n - 1]
         if numtheory.ceil_log2(mu) < m - 1 or d * m <= n:
             return VerificationReport(
@@ -822,75 +820,10 @@ def conjecture_scan(
     else:
         w = generators.materialize(spec, n_max)
     points = []
-    for n, mu in zip(grid, adic._mu_at(w, grid)):
+    for n, mu in zip(grid, adic.adic_mu(w, grid)):
         l2 = numtheory.int_log2(mu)
         target = n / 2 if cap is None else min(n / 2, cap)
         dev = l2 - target
         points.append(ScanPoint(n, mu, l2, target, dev, abs(dev) <= c * math.log2(n)))
     status = PASS if all(p.within for p in points) else FAIL
     return ScanReport(spec.text(), n_max, c, ratio, tuple(points), status)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-REPORT_CSV_HEADER = "# seqlab-report-v1: claim_id,instance,status,evidence"
-SCAN_CSV_HEADER = "# seqlab-scan-v1: N,mu,log2_mu,target,deviation,within"
-
-
-def _json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def reports_to_csv(reports: list[VerificationReport]) -> str:
-    buf = io.StringIO()
-    buf.write(REPORT_CSV_HEADER + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    for r in reports:
-        writer.writerow([r.claim_id, r.instance, r.status, _json(r.evidence)])
-    return buf.getvalue()
-
-
-def reports_to_json(reports: list[VerificationReport]) -> str:
-    payload = [
-        {"claim_id": r.claim_id, "instance": r.instance, "status": r.status, "evidence": r.evidence}
-        for r in reports
-    ]
-    return _json(payload) + "\n"
-
-
-def scan_to_csv(report: ScanReport) -> str:
-    buf = io.StringIO()
-    buf.write(SCAN_CSV_HEADER + "\n")
-    buf.write(
-        f"# seq={report.seq} n_max={report.n_max} c={report.c:.6f} ratio={report.ratio:.6f}\n"
-    )
-    writer = csv.writer(buf, lineterminator="\n")
-    for p in report.points:
-        writer.writerow(
-            [p.n, p.mu, f"{p.log2_mu:.6f}", f"{p.target:.6f}", f"{p.deviation:.6f}", int(p.within)]
-        )
-    buf.write(f"# status={report.status}\n")
-    return buf.getvalue()
-
-
-def scan_to_json(report: ScanReport) -> str:
-    payload = {
-        "seq": report.seq,
-        "n_max": report.n_max,
-        "c": f"{report.c:.6f}",
-        "ratio": f"{report.ratio:.6f}",
-        "status": report.status,
-        "points": [
-            {
-                "N": p.n,
-                "mu": p.mu,
-                "log2_mu": f"{p.log2_mu:.6f}",
-                "target": f"{p.target:.6f}",
-                "deviation": f"{p.deviation:.6f}",
-                "within": p.within,
-            }
-            for p in report.points
-        ],
-    }
-    return _json(payload) + "\n"

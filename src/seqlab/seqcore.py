@@ -192,21 +192,23 @@ Source = Union[str, Path, IO[str]]
 
 
 def read_bits(source: Source) -> Word:
-    """Read a bit file: ASCII '0'/'1' with whitespace ignored.
+    """Read a bit file: ASCII '0'/'1' with ASCII whitespace ignored.
 
     Any other byte raises MalformedBitFile carrying its offset in the text.
+    A file is decoded as Latin-1, one character per byte, so a non-ASCII
+    byte reaches that check instead of failing the decode.
     """
     if hasattr(source, "read"):
         text = source.read()
     else:
-        text = Path(source).read_text(encoding="ascii")
+        text = Path(source).read_text(encoding="latin-1")
     bits = bytearray()
     for off, ch in enumerate(text):
         if ch == "0":
             bits.append(0)
         elif ch == "1":
             bits.append(1)
-        elif not ch.isspace():
+        elif not (ch.isspace() and ch.isascii()):
             raise MalformedBitFile(off, ch)
     return Word(bytes(bits))
 

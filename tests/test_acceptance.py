@@ -14,6 +14,7 @@ import pytest
 
 import seqlab.relations as relations
 from seqlab.adic import adic_min, adic_oracle, connection
+from seqlab.cli import _reports_text, _scan_text
 from seqlab.generators import SeqSpec, fcsr_word, lfsr_period, thue_morse_word
 from seqlab.maxorder import moc, moc_oracle, moc_periodic
 from seqlab.measures import expansion_complexity, linear_profile
@@ -22,11 +23,8 @@ from seqlab.relations import (
     conjecture_scan,
     lemma1_suite,
     lemma3_scan,
-    reports_to_csv,
-    reports_to_json,
     reproduce_table,
     run_all,
-    scan_to_csv,
     thm1_suite,
     thm2_suite,
     thm4_suite,
@@ -260,12 +258,12 @@ def test_criterion_10_byte_identical_reruns():
     """Two consecutive full verification runs serialize identically."""
     first = run_all()
     second = run_all()
-    assert reports_to_csv(first) == reports_to_csv(second)
-    assert reports_to_json(first) == reports_to_json(second)
+    assert _reports_text(first, "csv") == _reports_text(second, "csv")
+    assert _reports_text(first, "json") == _reports_text(second, "json")
     for which in (1, 2):
-        assert reports_to_csv(reproduce_table(which)) == reports_to_csv(
-            reproduce_table(which)
+        assert _reports_text(reproduce_table(which), "csv") == _reports_text(
+            reproduce_table(which), "csv"
         )
-    scan_a = scan_to_csv(conjecture_scan(SeqSpec("thue-morse"), 300))
-    scan_b = scan_to_csv(conjecture_scan(SeqSpec("thue-morse"), 300))
+    scan_a = _scan_text(conjecture_scan(SeqSpec("thue-morse"), 300), "csv")
+    scan_b = _scan_text(conjecture_scan(SeqSpec("thue-morse"), 300), "csv")
     assert scan_a == scan_b

@@ -269,10 +269,10 @@ def test_mu_at_matches_adic_min_exhaustive():
     # its zero extension to 12 bits.
     for v, w in enumerate(all_words(12)):
         want = [adic_min(w, n).mu for n in range(1, 13)]
-        assert adic._mu_at(w, range(1, 13)) == want, w.to01()
+        assert adic.adic_mu(w, range(1, 13)) == want, w.to01()
         for b in range(v.bit_length() or 1, 13):
             for a in range(1, b + 1):
-                assert adic._mu_at(w, list(range(a, b + 1))) == want[a - 1 : b], (w.to01(), a, b)
+                assert adic.adic_mu(w, list(range(a, b + 1))) == want[a - 1 : b], (w.to01(), a, b)
 
 
 def test_mu_at_matches_adic_min_random_long():
@@ -284,7 +284,7 @@ def test_mu_at_matches_adic_min_random_long():
             a = rng.randrange(1, len(w) + 1)
             ns.update(range(a, min(a + rng.randrange(1, 6), len(w) + 1)))
         ns = sorted(ns)
-        assert adic._mu_at(w, ns) == [adic_min(w, n).mu for n in ns], (len(w), ns)
+        assert adic.adic_mu(w, ns) == [adic_min(w, n).mu for n in ns], (len(w), ns)
 
 
 def test_mu_at_checks_every_jump_and_every_run(monkeypatch):
@@ -305,10 +305,22 @@ def test_mu_at_checks_every_jump_and_every_run(monkeypatch):
     monkeypatch.setattr(
         adic, "_check_profile_basis", lambda *a: calls["basis"].append(a[1]) or basis(*a)
     )
-    assert adic._mu_at(w, ns) == want
+    assert adic.adic_mu(w, ns) == want
     assert calls["rows"] == [5, 9, 14]
     assert calls["basis"] == [3, 6, 9, 16]
     assert calls["reduced"] == 3 + 4
+
+
+def test_adic_mu_is_public_and_checks_its_lengths():
+    # [1, 3, 2] spans as many lengths as it has items, like a run 1..3.
+    import seqlab
+
+    assert seqlab.adic_mu is adic.adic_mu
+    w = Word.from01("0100110101")
+    assert adic.adic_mu(w, []) == []
+    for bad in ([1, 3, 2], [4, 4], [0, 1], [3, 11]):
+        with pytest.raises(ValueError):
+            adic.adic_mu(w, bad)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)

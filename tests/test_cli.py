@@ -1,14 +1,17 @@
 """Command-line surface: spec grammar, verbs, formats, exit codes."""
 
+import ast
 import hashlib
 import io
 import json
 import contextlib
 import os
 import random
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -403,6 +406,53 @@ def test_periodic_outputs_pinned():
             assert hashlib.sha256(out.encode()).hexdigest() == digest, (spec, fmt)
 
 
+def test_report_and_scan_outputs_pinned():
+    # sha256 of the CSV and the JSON, recorded when relations.py wrote
+    # reports and scans. mu at N = 30000 of Rudin-Shapiro has over 4300
+    # digits, Python's default limit for int-to-decimal conversions.
+    expected = {
+        ("verify", "all"): (None, "d8257dd9a63047a44de3c5484718c786d9727cf5ae9cd163d953bdc7059f69a2"),
+        ("tables", "--which", "1"): (
+            "88cbe3ac2984f8dfc068274283c835082d4f24e957a5e67c4c006a022e59257a",
+            "2faff3a470d47008608ac69d0f1c42da5a02de836816f1763a7f80560069aba4",
+        ),
+        ("tables", "--which", "2"): (
+            "0d8a0edbd4a05e33ce1e1a6e0a28e15e00ad234c8df8a9523f80bb1cfdb71837",
+            "bcc475d0e933e3a29dd8186bf11e810daa23787ad92d6f5d1d6527100019c194",
+        ),
+        ("scan", "--seq", "thue-morse", "--nmax", "5000"): (
+            "657e0f3a140efb88dd846df86ba1a38aa6de99c00343272d3a71474d81fc9495",
+            "acf98ea15cd4f5382f76725ec57f3eee330f2817149f8b025b0d99ea50f47ee1",
+        ),
+        ("scan", "--seq", "rudin-shapiro", "--nmax", "30000"): (
+            "89c0393c50a4a40352eebc0556435fd703b989483546c386930b45d5fd4a0e56",
+            "63a464dbf3215a1e18d0bd17e2203405d56ae798a53c7ebbcd7a021c165da13a",
+        ),
+    }
+    for args, digests in expected.items():
+        for fmt, digest in zip(("csv", "json"), digests):
+            if digest is None:  # verify all's CSV: test_verify_outputs_pinned
+                continue
+            code, out, _ = run([*args, "--format", fmt])
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, (args, fmt)
+
+
+def test_cli_alone_writes_outputs():
+    # The library returns data; every versioned header and every csv, io or
+    # json import in src/seqlab is cli.py's.
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        imported = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module)
+        writes = bool(re.search(r"# seqlab-\w+-v1", text)) or bool(imported & {"csv", "io", "json"})
+        assert writes == (path.name == "cli.py"), path.name
+
+
 def test_periodic_builds_one_connection_each_way(monkeypatch):
     # phi2 and phi2_symmetric read the sequence's own connection; only the
     # reversal needs a second one.
@@ -619,7 +669,18 @@ def test_analyze_nmax_cap_exits_2_before_building_the_word(monkeypatch):
     assert "--nmax 32001 exceeds its maximum 32000" in err
 
 
-def test_periodic_prints_integers_of_any_size():
+@pytest.fixture
+def unlimited_digits():
+    """Lift Python's limit on int-to-decimal conversions (4300 digits by
+    default) for a test that parses long fields; main restores the caller's
+    limit when it returns."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def test_periodic_prints_integers_of_any_size(unlimited_digits):
     # r = 14 m-sequence, x^14 + x^10 + x^6 + x + 1: q = 2^16383 - 1 has
     # about 4932 decimal digits.
     seed = ".".join(["1"] + ["0"] * 13)
@@ -629,6 +690,23 @@ def test_periodic_prints_integers_of_any_size():
     assert int(T) == 2**14 - 1
     assert int(q) == 2**16383 - 1
     assert int(L) == 14
+
+
+def test_main_restores_the_int_digit_limit():
+    # q of legendre:p=20011 has about 6000 digits, above the default limit;
+    # main prints it and hands back the caller's limit, also on exit 2.
+    limit = sys.get_int_max_str_digits()
+    try:
+        for caller in (limit, 5000):
+            sys.set_int_max_str_digits(caller)
+            code, out, _ = run(["periodic", "--seq", "legendre:p=20011"])
+            assert code == 0 and len(out.splitlines()[1].split(",")[2]) > 5000
+            assert sys.get_int_max_str_digits() == caller
+            for argv in (["scan", "--seq", "thue-morse", "--nmax", "1"], ["verify", "no-such-claim"]):
+                assert run(argv)[0] == 2
+                assert sys.get_int_max_str_digits() == caller, argv
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_generate_ell_streams_a_short_prefix():
@@ -670,6 +748,10 @@ def test_error_exit_codes(tmp_path):
     blank.write_text(" \n\n ")
     code, out, err = run(["periodic", "--seq", f"file:path={blank}"])
     assert code == 2 and out == "" and err == "error: empty word has no period\n"
+    accented = tmp_path / "accented.bits"
+    accented.write_bytes(b"01\xc3\xa910")
+    code, out, err = run(["generate", "--seq", f"file:path={accented}", "--n", "2"])
+    assert code == 2 and out == "" and err == "error: illegal byte '\\xc3' at offset 2\n"
 
 
 def test_python_dash_m_runs_the_cli():

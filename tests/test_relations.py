@@ -18,6 +18,7 @@ from referees import (
 )
 from seqlab import adic, cli, generators, maxorder, numtheory
 from seqlab.adic import adic_min
+from seqlab.cli import _reports_text, _scan_text
 from seqlab.errors import BoundExceeded, InvalidParameter
 from seqlab.generators import SeqSpec, PolySpec, fcsr_word, legendre_period, IDENTITY
 from seqlab.maxorder import moc
@@ -30,13 +31,9 @@ from seqlab.relations import (
     lemma1_suite,
     lemma3_scan,
     msequence_suite,
-    reports_to_csv,
-    reports_to_json,
     reproduce_table,
     run_all,
     run_claim,
-    scan_to_csv,
-    scan_to_json,
     thm1_suite,
     thm2_suite,
     thm4_suite,
@@ -422,7 +419,7 @@ def test_conjecture_scan_builds_legendre_once(monkeypatch):
     }
     for params, digest in expected.items():
         calls.clear()
-        text = scan_to_csv(conjecture_scan(SeqSpec("legendre", params=params), 2500))
+        text = _scan_text(conjecture_scan(SeqSpec("legendre", params=params), 2500), "csv")
         assert calls == [(1009, 1009)]
         assert hashlib.sha256(text.encode()).hexdigest() == digest, params
 
@@ -437,12 +434,12 @@ def test_scan_target_uncapped_for_ell():
 
 def test_report_serialization_deterministic():
     reports = thm4_suite(101)
-    a = reports_to_csv(reports)
-    b = reports_to_csv(thm4_suite(101))
+    a = _reports_text(reports, "csv")
+    b = _reports_text(thm4_suite(101), "csv")
     assert a == b
     assert a.startswith("# seqlab-report-v1: claim_id,instance,status,evidence")
-    ja = reports_to_json(reports)
-    jb = reports_to_json(thm4_suite(101))
+    ja = _reports_text(reports, "json")
+    jb = _reports_text(thm4_suite(101), "json")
     assert ja == jb
     import json
 
@@ -452,17 +449,17 @@ def test_report_serialization_deterministic():
 
 def test_scan_serialization_deterministic():
     rep = conjecture_scan(SeqSpec("thue-morse"), 40)
-    a = scan_to_csv(rep)
-    b = scan_to_csv(conjecture_scan(SeqSpec("thue-morse"), 40))
+    a = _scan_text(rep, "csv")
+    b = _scan_text(conjecture_scan(SeqSpec("thue-morse"), 40), "csv")
     assert a == b
     assert a.startswith("# seqlab-scan-v1: N,mu,log2_mu,target,deviation,within")
     assert "# status=pass" in a
-    assert scan_to_json(rep) == scan_to_json(conjecture_scan(SeqSpec("thue-morse"), 40))
+    assert _scan_text(rep, "json") == _scan_text(conjecture_scan(SeqSpec("thue-morse"), 40), "json")
 
 
 def test_run_all_deterministic():
-    a = reports_to_csv(run_all())
-    b = reports_to_csv(run_all())
+    a = _reports_text(run_all(), "csv")
+    b = _reports_text(run_all(), "csv")
     assert a == b
 
 
@@ -557,12 +554,14 @@ def test_mu_read_one_length_late_is_caught(monkeypatch):
     rng = random.Random(54)
     words = [random_word(rng, 24) for _ in range(20)]
     thm1_rows = [_thm1_referee(w) for w in words]
-    real = adic._mu_at
+    real = adic.adic_mu
 
     def late(w, ns):
-        return real(w, [min(n + 1, len(w)) for n in ns])
+        # One length per call: shifted lengths repeat at the word's end,
+        # which adic_mu refuses.
+        return [real(w, [min(n + 1, len(w))])[0] for n in ns]
 
-    monkeypatch.setattr(adic, "_mu_at", late)
+    monkeypatch.setattr(adic, "adic_mu", late)
     assert [row for w in words for row in _rows([verify_thm1(w)])] != thm1_rows
     assert _rows(lemma1_suite(4)) != lemma1_per_length(4, _q_of, _mu_of)
 
@@ -589,7 +588,7 @@ def test_verify_outputs_pinned():
     }
     for key, digest in expected.items():
         reports = run_all() if key is None else run_claim(*key)
-        assert hashlib.sha256(reports_to_csv(reports).encode()).hexdigest() == digest, key
+        assert hashlib.sha256(_reports_text(reports, "csv").encode()).hexdigest() == digest, key
 
 
 def test_lowerbound_cap_is_the_bit_cap():

@@ -1,5 +1,6 @@
 """Core word, periodic-sequence, and profile types."""
 
+import io
 import math
 import random
 
@@ -136,3 +137,20 @@ def test_bit_file_rejects_garbage(tmp_path):
     path.write_text("0101x01\n")
     with pytest.raises(MalformedBitFile):
         read_bits(path)
+
+
+def test_bit_file_rejects_non_ascii_bytes(tmp_path):
+    # UTF-8 e-acute, then the Latin-1 no-break space and next-line bytes,
+    # which str.isspace accepts: each is refused at its byte offset.
+    path = tmp_path / "bad.bits"
+    for raw, off in ((b"01\xc3\xa910", 2), (b"0\n1\xa010", 3), (b"011\x85", 3)):
+        path.write_bytes(raw)
+        with pytest.raises(MalformedBitFile) as exc:
+            read_bits(path)
+        assert exc.value.offset == off and exc.value.char == chr(raw[off])
+        assert str(exc.value) == f"illegal byte '\\x{raw[off]:02x}' at offset {off}"
+    for text in ("01\xa010", "01\u200010", "01\u300010"):
+        with pytest.raises(MalformedBitFile):
+            read_bits(io.StringIO(text))
+    path.write_bytes(b" 0\t1\r\n1\x0b0\x0c\n")
+    assert read_bits(path).to01() == "0110"
