@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import oracle_bound
 from .errors import OracleBoundExceeded
@@ -30,8 +30,7 @@ from .numtheory import ceil_log2, int_log2
 from .seqcore import PeriodicSequence, Profile, RationalRep, Word, prefix_value, reverse_period
 
 
-@dataclass(frozen=True)
-class AdicValue:
+class AdicValue(NamedTuple):
     """A complexity value carried as its exact integer argument mu."""
 
     mu: int
@@ -46,8 +45,7 @@ class AdicValue:
         return ceil_log2(self.mu)
 
 
-@dataclass(frozen=True)
-class ApproxPair:
+class ApproxPair(NamedTuple):
     """Minimizing pair for one prefix length: q odd positive, f the
     absolutely-least achiever (ties broken toward positive f), and
     mu = max(|f|, q) >= 1."""

@@ -39,14 +39,14 @@ MAX_ANALYZE_BITS = 32_000
 # periodic sorts the T cyclic windows of the period for M, the
 # maximum-order complexity, and runs gcds on T-bit numbers and
 # polynomials, so it grows a little faster than T: legendre at p = 999983
-# takes 22 s and 99 MB peak (median of six runs, 20 to 24 s, 2-core
-# container), about 2 s of it in the windows, 10 to 12 s in the polynomial
-# gcd for L and 3.5 s printing A and q in decimal. A period whose
-# 60-bit windows tie still grows the automaton over its first T + M bits
-# (at most 2T - 1) after the two sorts: 0^(T-1)1 at T = 10^6 takes 5.4 s
-# and 311 MB peak (5.2 s and 295 MB with the automaton alone). The
-# family's period bound (p, ord_q(2), 2^r - 1) is checked before anything
-# is built.
+# takes 21 s and 97 MB peak (median of five runs, 18 to 21 s, 2-core
+# container), about 2.4 s of it in the windows, 4 s in the two gcds for
+# the connections of the period and its reversal, 10 to 12 s in the
+# polynomial gcd for L and 3.5 s printing A and q in decimal. A period
+# whose 60-bit windows tie still grows the automaton over its first T + M
+# bits (at most 2T - 1) after the two sorts: 0^(T-1)1 at T = 10^6 takes
+# 6.2 s and 310 MB peak (median of three runs). The family's period bound
+# (p, ord_q(2), 2^r - 1) is checked before anything is built.
 MAX_PERIOD = 1_000_000
 
 # ---------------------------------------------------------------------------
@@ -299,7 +299,7 @@ def _verify_reports(claim: str, t_max: int | None, n_max: int | None):
 def _reports_text(reports: list[relations.VerificationReport], fmt: str) -> str:
     if fmt == "json":
         # a report's fields are its keys
-        return _json([vars(r) for r in reports]) + "\n"
+        return _json([r._asdict() for r in reports]) + "\n"
     rows = ([r.claim_id, r.instance, r.status, _json(r.evidence)] for r in reports)
     return _csv(("# seqlab-report-v1: claim_id,instance,status,evidence",), rows)
 

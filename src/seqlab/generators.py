@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import (
     EvenModulus,
@@ -21,23 +20,28 @@ from .numtheory import is_prime, multiplicative_order
 from .seqcore import PeriodicSequence, Word, least_period, read_bits
 
 
-@dataclass(frozen=True)
-class PolySpec:
+# typing.NamedTuple refuses a __new__ in the class body, so a type that
+# checks or fills its fields subclasses a private tuple of them.
+class _Poly(NamedTuple):
+    coefficients: tuple[int, ...]
+
+
+class PolySpec(_Poly):
     """Integer polynomial, constant coefficient first.
 
     Trailing zero coefficients are trimmed so degree is canonical; the zero
     polynomial is (0,).
     """
 
-    coefficients: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        coeffs = tuple(self.coefficients)
+    def __new__(cls, coefficients) -> "PolySpec":
+        coeffs = tuple(coefficients)
         if not coeffs:
             raise ValueError("need at least one coefficient")
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
-        object.__setattr__(self, "coefficients", coeffs)
+        return super().__new__(cls, coeffs)
 
     @property
     def degree(self) -> int:
@@ -328,8 +332,17 @@ def _file_prefix(path: str, n: int) -> Word:
     return w[:n]
 
 
-@dataclass(frozen=True)
-class Family:
+class _FamilyFields(NamedTuple):
+    keys: dict
+    defaults: dict
+    check: Callable[..., None] | None
+    bit: Callable[..., Callable[[int], int]] | None
+    prefix: Callable[..., Word] | None
+    period: Callable[..., PeriodicSequence] | None
+    period_bound: Callable[..., int] | None
+
+
+class Family(_FamilyFields):
     """One row of the family table.
 
     keys maps each parameter to the kind of its value (see _KINDS); every
@@ -344,13 +357,15 @@ class Family:
     building it.
     """
 
-    keys: dict = field(default_factory=dict)
-    defaults: dict = field(default_factory=dict)
-    check: Callable[..., None] | None = None
-    bit: Callable[..., Callable[[int], int]] | None = None
-    prefix: Callable[..., Word] | None = None
-    period: Callable[..., PeriodicSequence] | None = None
-    period_bound: Callable[..., int] | None = None
+    __slots__ = ()
+
+    def __new__(
+        cls, keys=None, defaults=None, check=None, bit=None, prefix=None, period=None, period_bound=None
+    ) -> "Family":
+        # each row gets its own dicts, never one shared default
+        keys = {} if keys is None else keys
+        defaults = {} if defaults is None else defaults
+        return super().__new__(cls, keys, defaults, check, bit, prefix, period, period_bound)
 
 
 def _constant(b: int) -> Family:
@@ -416,8 +431,13 @@ FAMILIES = {
 _KINDS = {"int": int, "list": tuple, "poly": PolySpec, "path": str}
 
 
-@dataclass(frozen=True)
-class SeqSpec:
+class _SeqFields(NamedTuple):
+    family: str
+    params: tuple[tuple[str, object], ...]
+    poly: PolySpec | None
+
+
+class SeqSpec(_SeqFields):
     """A named sequence family plus its parameters, validated on creation.
 
     params is a tuple of (key, value) pairs; values are ints, index tuples,
@@ -425,35 +445,37 @@ class SeqSpec:
     the polynomial's values.
     """
 
-    family: str
-    params: tuple[tuple[str, object], ...] = ()
-    poly: PolySpec | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        fam = FAMILIES.get(self.family)
+    def __new__(
+        cls, family: str, params: tuple[tuple[str, object], ...] = (), poly: PolySpec | None = None
+    ) -> "SeqSpec":
+        fam = FAMILIES.get(family)
         if fam is None:
-            raise InvalidParameter(f"unknown family {self.family!r}")
-        if self.poly is not None and fam.bit is None:
-            raise InvalidParameter(f"family {self.family!r} does not take a poly suffix")
-        keys = [k for k, _ in self.params]
+            raise InvalidParameter(f"unknown family {family!r}")
+        if poly is not None and fam.bit is None:
+            raise InvalidParameter(f"family {family!r} does not take a poly suffix")
+        keys = [k for k, _ in params]
         if len(set(keys)) != len(keys):
             raise InvalidParameter("duplicate parameter")
-        ordered = tuple(sorted(self.params))
-        if ordered != self.params:
-            object.__setattr__(self, "params", ordered)
+        ordered = tuple(sorted(params))
         for key, value in ordered:
             if key not in fam.keys:
-                raise InvalidParameter(f"family {self.family!r} does not take {key}=")
+                raise InvalidParameter(f"family {family!r} does not take {key}=")
             kind = fam.keys[key]
+            # A list is an exact tuple: the value types are tuples too, and
+            # one of ints, such as MocWitness, is no list of indices.
             if not isinstance(value, _KINDS[kind]) or (
-                kind == "list" and not all(isinstance(b, int) for b in value)
+                kind == "list" and (type(value) is not tuple or not all(isinstance(b, int) for b in value))
             ):
                 raise InvalidParameter(f"{key} must be of kind {kind}, got {value!r}")
         for key in fam.keys:
             if key not in keys and key not in fam.defaults:
-                raise MissingParameter(f"family {self.family!r} needs {key}=")
+                raise MissingParameter(f"family {family!r} needs {key}=")
+        spec = super().__new__(cls, family, ordered, poly)
         if fam.check is not None:
-            fam.check(**self._values())
+            fam.check(**spec._values())
+        return spec
 
     def _values(self) -> dict:
         """Every parameter by name, defaults filled in."""

@@ -9,9 +9,9 @@ number-theoretic shortcuts for carry-register sequences."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from operator import lshift, or_, rshift, xor
+from typing import NamedTuple
 
 from .config import oracle_bound
 from .errors import NotCoprime, NotEllModulus, OracleBoundExceeded
@@ -26,8 +26,7 @@ from .numtheory import (
 from .seqcore import PeriodicSequence, Profile, Word
 
 
-@dataclass(frozen=True)
-class MocWitness:
+class MocWitness(NamedTuple):
     """A maximal conflict: equal windows of the given length starting at i < j
     whose successor symbols differ."""
 
@@ -36,8 +35,7 @@ class MocWitness:
     length: int
 
 
-@dataclass(frozen=True)
-class MocResult:
+class MocResult(NamedTuple):
     m: int
     witness: MocWitness | None
 
@@ -189,8 +187,7 @@ def moc_oracle(w: Word) -> MocResult:
     return MocResult(max(n - 1, 0), last_conflict)
 
 
-@dataclass(frozen=True)
-class CosetSet:
+class CosetSet(NamedTuple):
     """Orbit of a unit A under doubling mod q; its size is ord_q(2)."""
 
     elements: frozenset[int]

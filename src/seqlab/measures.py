@@ -14,9 +14,9 @@ complexity of a periodic sequence is one polynomial gcd over GF(2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, combinations
 from operator import mul
+from typing import NamedTuple
 
 from .config import oracle_bound
 from .errors import BoundExceeded, TooShort
@@ -71,8 +71,7 @@ def linear_complexity_periodic(period: Word) -> int:
     return t + 1 - a.bit_length()
 
 
-@dataclass(frozen=True)
-class CorrelationWitness:
+class CorrelationWitness(NamedTuple):
     """Achieving window: U terms starting at offsets, value the signed sum."""
 
     window: int

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import adic, generators, maxorder, measures, numtheory
 from .config import oracle_bound
@@ -27,8 +26,7 @@ SKIPPED = "skipped"
 SUITE_SEED = 271828
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of one claim checked on one instance.
 
     evidence holds the recomputed quantities. Logarithms are stored as
@@ -682,8 +680,7 @@ def lowerbound_suite(n_max: int):
     return [verify_lowerbound(f, n_max) for f in sorted(LOWERBOUND_FAMILIES)]
 
 
-@dataclass(frozen=True)
-class ClaimSuite:
+class ClaimSuite(NamedTuple):
     """One row of the claim table: a claim's suite and how it is sized.
 
     A suite with a flag takes one bound: default when none is given, never
@@ -753,8 +750,7 @@ def run_all() -> list[VerificationReport]:
 # conjecture scans
 
 
-@dataclass(frozen=True)
-class ScanPoint:
+class ScanPoint(NamedTuple):
     n: int
     mu: int
     log2_mu: float
@@ -763,8 +759,7 @@ class ScanPoint:
     within: bool
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     """Deviation table for one sequence family; status is report-grade."""
 
     seq: str

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Union
+from typing import IO, Iterable, Iterator, NamedTuple, Union
 
 from .errors import InvalidParameter, MalformedBitFile
 from .numtheory import int_log2
@@ -80,8 +79,7 @@ def prefix_value(w: Word, n: int | None = None) -> int:
     return w[:n].value()
 
 
-@dataclass(frozen=True)
-class PeriodicSequence:
+class PeriodicSequence(NamedTuple):
     """An infinite periodic binary sequence given by one period word.
 
     least is True when the stored word is the least period. Constructors
@@ -132,29 +130,33 @@ def reverse_period(s: PeriodicSequence) -> PeriodicSequence:
     return PeriodicSequence(Word(s.word.bits[::-1]), least=s.least)
 
 
-@dataclass(frozen=True)
-class RationalRep:
+# typing.NamedTuple refuses a __new__ in the class body, so a type that
+# checks its fields subclasses a private tuple of them.
+class _Rational(NamedTuple):
+    A: int
+    q: int
+
+
+class RationalRep(_Rational):
     """Reduced connection pair (A, q): the sequence value equals -A/q 2-adically.
 
     q is odd and positive, 0 <= A <= q, gcd(A, q) = 1. A = 0 encodes the zero
     sequence (q = 1) and A = q = 1 the all-ones sequence.
     """
 
-    A: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        self._check_range()
-        if math.gcd(self.A, self.q) != 1:
-            raise ValueError(f"gcd({self.A}, {self.q}) != 1")
+    def __new__(cls, A: int, q: int) -> "RationalRep":
+        rep = cls._coprime(A, q)
+        if math.gcd(A, q) != 1:
+            raise ValueError(f"gcd({A}, {q}) != 1")
+        return rep
 
     @classmethod
     def _coprime(cls, A: int, q: int) -> "RationalRep":
         """A pair its caller has divided by its gcd: the range is checked,
         the gcd is not computed again."""
-        rep = object.__new__(cls)
-        object.__setattr__(rep, "A", A)
-        object.__setattr__(rep, "q", q)
+        rep = tuple.__new__(cls, (A, q))
         rep._check_range()
         return rep
 
@@ -170,11 +172,34 @@ class RationalRep:
         return int_log2(self.q)
 
 
-@dataclass(frozen=True)
 class Profile:
-    """Per-prefix measure values; at(N) is the value for the length-N prefix."""
+    """Per-prefix measure values; at(N) is the value for the length-N prefix.
 
-    values: tuple[int, ...]
+    Immutable like the other value types, but a plain class: len() and
+    iteration run over values.
+    """
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: tuple[int, ...]):
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.values == other.values
+
+    def __hash__(self) -> int:
+        return hash((self.values,))
+
+    def __repr__(self) -> str:
+        return f"Profile(values={self.values!r})"
 
     def at(self, n: int) -> int:
         if not 1 <= n <= len(self.values):
@@ -195,13 +220,15 @@ def read_bits(source: Source) -> Word:
     """Read a bit file: ASCII '0'/'1' with ASCII whitespace ignored.
 
     Any other byte raises MalformedBitFile carrying its offset in the text.
-    A file is decoded as Latin-1, one character per byte, so a non-ASCII
-    byte reaches that check instead of failing the decode.
+    A file is read as bytes and decoded as Latin-1, one character per byte,
+    so the offset is the byte offset (no newline translation merges a CRLF)
+    and a non-ASCII byte reaches that check instead of failing the decode.
+    A text stream is read as it is; its offsets count characters.
     """
     if hasattr(source, "read"):
         text = source.read()
     else:
-        text = Path(source).read_text(encoding="latin-1")
+        text = Path(source).read_bytes().decode("latin-1")
     bits = bytearray()
     for off, ch in enumerate(text):
         if ch == "0":

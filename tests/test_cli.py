@@ -752,6 +752,10 @@ def test_error_exit_codes(tmp_path):
     accented.write_bytes(b"01\xc3\xa910")
     code, out, err = run(["generate", "--seq", f"file:path={accented}", "--n", "2"])
     assert code == 2 and out == "" and err == "error: illegal byte '\\xc3' at offset 2\n"
+    crlf = tmp_path / "crlf.bits"
+    crlf.write_bytes(b"0\r\n1x")
+    code, out, err = run(["generate", "--seq", f"file:path={crlf}", "--n", "2"])
+    assert code == 2 and out == "" and err == "error: illegal byte 'x' at offset 4\n"
 
 
 def test_python_dash_m_runs_the_cli():
@@ -765,6 +769,14 @@ def test_python_dash_m_runs_the_cli():
             [sys.executable, "-m", "seqlab", *args], capture_output=True, text=True, env=env, timeout=60
         )
         assert (done.returncode, done.stdout, done.stderr) == run(args) and done.returncode == code
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # Every run pays this import before it does any work.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    code = "import sys, seqlab.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def test_main_builds_one_parser_and_answers_as_a_fresh_one(monkeypatch):

@@ -154,3 +154,26 @@ def test_bit_file_rejects_non_ascii_bytes(tmp_path):
             read_bits(io.StringIO(text))
     path.write_bytes(b" 0\t1\r\n1\x0b0\x0c\n")
     assert read_bits(path).to01() == "0110"
+
+
+def test_bit_file_offsets_count_bytes(tmp_path):
+    # A file is read as bytes: CRLF is two skipped bytes and a lone CR one,
+    # so no newline translation moves the offset of a bad byte.
+    path = tmp_path / "w.bits"
+    for raw, off in ((b"0\r\n1x", 4), (b"0\r1x", 3), (b"0\n1x", 3), (b"01\r\n10\r\n\r\n1\x85", 11)):
+        path.write_bytes(raw)
+        with pytest.raises(MalformedBitFile) as exc:
+            read_bits(path)
+        assert exc.value.offset == off and exc.value.char == chr(raw[off])
+    path.write_bytes(b"01\r\n10\r1\n")
+    assert read_bits(path).to01() == "01101"
+    # A text stream is read as it is: offsets count its characters.
+    assert read_bits(io.StringIO("01\r\n10\r1\n")).to01() == "01101"
+    for text, off in (("0\r\n1x", 4), ("0\n1x", 3)):
+        with pytest.raises(MalformedBitFile) as exc:
+            read_bits(io.StringIO(text))
+        assert exc.value.offset == off
+    path.write_bytes(b"0\r\n1x")
+    with path.open(encoding="ascii") as stream, pytest.raises(MalformedBitFile) as exc:
+        read_bits(stream)
+    assert exc.value.offset == 3
