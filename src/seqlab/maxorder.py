@@ -374,21 +374,39 @@ def moc_ell_formula(q: int) -> int:
     Requires q to be an odd prime power with 2 primitive. The value is
     floor(log2 q) for q in ELL_FLOOR_MODULI and ceil(log2 q) otherwise.
     """
+    _ell_power(q)
+    return _ell_value(q)
+
+
+def _ell_power(q: int) -> tuple[int, int]:
+    """(p, k) with q = p^k, once q is checked an odd prime power with 2
+    primitive: one factorization of q and one of phi(q)."""
     power = is_odd_prime_power(q)
     if power is None or not two_generates(q, (power,)):
         raise NotEllModulus(f"{q} is not an odd prime power with 2 primitive")
+    return power
+
+
+def _ell_value(q: int) -> int:
+    """moc_ell_formula(q) for an ell modulus q."""
     if q in ELL_FLOOR_MODULI:
         return q.bit_length() - 1
     return ceil_log2(q)
 
 
 def ell_moduli(limit: int) -> list[int]:
-    """All odd prime powers q <= limit with 2 a primitive root, ascending.
+    """All odd prime powers q <= limit with 2 a primitive root, ascending."""
+    return [q for q, _, _ in _ell_powers(limit)]
+
+
+def _ell_powers(limit: int) -> list[tuple[int, int, int]]:
+    """(q, p, k) with q = p^k for each of ell_moduli(limit), ascending.
 
     The odd primes come from one sieve, and each prime's powers are tested
-    with their factorization known. Reducing mod p^k maps the units mod
-    p^(k+1) onto those mod p^k, so once 2 fails to generate at p^k it fails
-    at every higher power, and the powers of p stop there.
+    with their factorization known, so only phi(q) is factorized. Reducing
+    mod p^k maps the units mod p^(k+1) onto those mod p^k, so once 2 fails
+    to generate at p^k it fails at every higher power, and the powers of p
+    stop there.
     """
     composite = bytearray(max(limit + 1, 0))
     out = []
@@ -398,7 +416,7 @@ def ell_moduli(limit: int) -> list[int]:
         composite[p * p :: 2 * p] = b"\x01" * len(range(p * p, limit + 1, 2 * p))
         q, k = p, 1
         while q <= limit and two_generates(q, ((p, k),)):
-            out.append(q)
+            out.append((q, p, k))
             q, k = q * p, k + 1
     return sorted(out)
 

@@ -2,20 +2,21 @@
 dependence degree of the generating function (expansion complexity).
 
 Each measure has a per-prefix profile computed in one pass over the word:
-Berlekamp-Massey for linear complexity, per-lag running sums for order-2
-correlation, and one F2 echelon over the monomial columns x^i y^j, fed one
-coefficient row per bit, for expansion complexity. expansion_complexity
-at one N reads that profile. correlation2 and correlation_k keep their own
-search because they also return the achieving window: the prefix sums of
-each lag tuple's sign products give its value, and the least window is
-searched only in the tuples that tie the best value. The linear
-complexity of a periodic sequence is one polynomial gcd over GF(2).
+Berlekamp-Massey for linear complexity, one walk over every lag at once,
+packed into the lanes of a few ints (SWAR; Lamport, CACM 18(8), 1975), for
+order-2 correlation, and one F2 echelon over the monomial columns x^i y^j,
+fed one coefficient row per bit, for expansion complexity.
+expansion_complexity at one N reads that profile. correlation2 reads every
+lag at the end of the same walk, and correlation_k runs it once per tuple
+of its first k - 2 lags. The least window is searched only in the lag
+tuples that tie the best value. The linear complexity of a periodic
+sequence is one polynomial gcd over GF(2).
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, combinations
-from operator import mul
+from operator import mul, xor
 from typing import NamedTuple
 
 from .config import oracle_bound
@@ -81,44 +82,21 @@ class CorrelationWitness(NamedTuple):
 
 def correlation2(w: Word) -> tuple[int, CorrelationWitness]:
     """Order-2 correlation: max over window length U and offsets d1 < d2 of
-    |sum_{i<U} (-1)^(s_{i+d1} + s_{i+d2})|. O(N^2) via per-lag prefix sums."""
+    |sum_{i<U} (-1)^(s_{i+d1} + s_{i+d2})|. Every lag in one lane-packed walk."""
     if len(w) < 2:
         raise TooShort(f"need length >= 2, got {len(w)}")
     return _correlation(w, 2)
 
 
 def correlation2_profile(w: Word) -> Profile:
-    """Order-2 correlation of every prefix, 0 at length 1, in one O(N^2) pass.
-
-    Each new bit s_n adds the term (-1)^(s_{n-l} + s_n) to the running sum
-    of every lag l <= n. A lag's largest |window sum| is the max minus the
-    min of its running sums (both from 0), so each lag keeps those two, and
-    the value at a prefix is the running max over lags. Equals
-    correlation2(w[:n])[0] for n >= 2.
+    """Order-2 correlation of every prefix, 0 at length 1: the running best
+    of the lane-packed walk over every lag. Equals correlation2(w[:n])[0]
+    for n >= 2.
     """
     bits = w.bits
-    acc = [0]  # per lag l, at index l; index 0 unused
-    hi = [0]
-    lo = [0]
-    best = 0
-    values = []
-    for n, bit in enumerate(bits):
-        for lag in range(1, n + 1):
-            a = acc[lag] + (-1 if bits[n - lag] ^ bit else 1)
-            acc[lag] = a
-            if a > hi[lag]:
-                hi[lag] = a
-            elif a < lo[lag]:
-                lo[lag] = a
-            else:
-                continue
-            if hi[lag] - lo[lag] > best:
-                best = hi[lag] - lo[lag]
-        values.append(best)
-        acc.append(0)
-        hi.append(0)
-        lo.append(0)
-    return Profile(tuple(values))
+    if not bits:
+        return Profile(())
+    return Profile((0, *_lag_walk(bits, bits, True)[2]))
 
 
 def correlation_k(w: Word, k: int) -> tuple[int, CorrelationWitness]:
@@ -141,50 +119,97 @@ def _correlation(w: Word, k: int) -> tuple[int, CorrelationWitness]:
     """The value and the witness with the lexicographically least
     (U, d1, lag tuple) among those achieving it.
 
-    With signs s = 1 - 2b, a lag tuple's terms are the products of the
-    shifted signs, and its largest |window sum| is the max minus the min of
-    their prefix sums, all read at C level. Only the tuples that tie the
-    final value can hold the witness, so the least window is searched in
-    them alone, after the loop.
+    For each head of k - 2 lags (none when k = 2), y_i is s_i xor s at the
+    head's lags, last its largest lag (0 for none). One _lag_walk of y
+    against s[last:] reads every tuple head + (last + e,) at once. Only the
+    tuples that tie the final value can hold the witness.
     """
-    n = len(w)
-    signs = [1 - 2 * b for b in w.bits]
+    bits = w.bits
+    n = len(bits)
     best_val = 0
     ties = []
-    for lags in combinations(range(1, n), k - 1):
-        prefix = _prefix_sums(signs, lags)
-        val = max(prefix) - min(prefix)
-        if val > best_val:
-            best_val, ties = val, [lags]
-        elif val == best_val:
-            ties.append(lags)
-    best_key = None  # (U, d1, lag tuple)
-    best_sign = 1
-    for lags in ties:
-        # The latest earlier occurrence of pb -+ best_val gives the least U
-        # ending at b.
-        latest: dict[int, int] = {}
-        for b, pb in enumerate(_prefix_sums(signs, lags)):
-            for target, sign in ((pb - best_val, 1), (pb + best_val, -1)):
-                a = latest.get(target)
-                if a is not None:
-                    key = (b - a, a, lags)
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        best_sign = sign
-            latest[pb] = b
-    u, d1, lags = best_key
+    for head in combinations(range(1, n), k - 2):
+        last = head[-1] if head else 0
+        y = bits[: n - last]
+        for lag in head:
+            y = bytes(map(xor, y, bits[lag:]))
+        top, lags, _ = _lag_walk(y, bits[last:])
+        if top < best_val:
+            continue
+        if top > best_val:
+            best_val, ties = top, []
+        ties += [head + (last + e,) for e in lags]
+    signs = [1 - 2 * b for b in bits]
+    u, d1, lags, sign = min(_least_window(signs, lags) for lags in ties)
     offsets = (d1,) + tuple(d1 + lag for lag in lags)
-    return best_val, CorrelationWitness(u, offsets, best_sign * best_val)
+    return best_val, CorrelationWitness(u, offsets, sign * best_val)
 
 
-def _prefix_sums(signs: list[int], lags: tuple[int, ...]) -> list[int]:
-    """Prefix sums, from 0, of the terms s_i * s_(i+lag) * ... over the lags,
-    for i < len(signs) - max lag, where the shortest shifted list ends."""
+def _lag_walk(y: bytes, s: bytes, running: bool = False) -> tuple[int, list[int], list[int]]:
+    """For every lag e in [1, len(s)), the largest |window sum| of the terms
+    (-1)^(y_j + s_(j+e)) over j + e < len(s), with len(y) >= len(s) - 1: the
+    largest over the lags, the lags reaching it, and with running, the
+    largest after each end index j + e = 1, ..., len(s) - 1.
+
+    Lane e - 1 of a few ints holds lag e. A lag's value is max - min of its
+    prefix sums P from 0, so its lane keeps A = max - P and D = P - min. At
+    end index m, r holds y_(m-e) in lane e - 1, and x marks the lanes whose
+    term is -1: r, or the live lanes' ones less r when s_m = 1. A -1 term
+    raises A and lowers D unless D is 0; a +1 term does the reverse. Lanes
+    stay in [0, len(s) - 1], below the guard bit 2^shift, so a lane is at
+    least t exactly when adding 2^shift - t sets its guard bit, with no
+    carry into the next lane. So the running best rises exactly when some
+    lane of A + D reaches best + 1, and the final best is read bit by bit.
+    """
+    n = len(s)
+    shift = (n - 1).bit_length()
+    width = shift + 1
+    guard = 1 << shift
+    low = guard - 1
+    r = ones = lows = a = d = best = rest = 0
+    running_best = []
+    for m in range(1, n):
+        r = (r << width) | y[m - 1]
+        ones = (ones << width) | 1
+        lows = (lows << width) | low
+        x, xc = (ones - r, r) if s[m] else (r, ones - r)
+        a = a + x - ((a + lows) >> shift & xc)
+        d = d + xc - ((d + lows) >> shift & x)
+        if running:
+            rest = (rest << width) | (low - best)
+            if (a + d + rest) >> shift & ones:
+                best += 1
+                rest -= ones
+            running_best.append(best)
+    v = a + d
+    if not running:
+        for bit in reversed(range(shift)):
+            if (v + ones * (guard - (best | 1 << bit))) >> shift & ones:
+                best |= 1 << bit
+    reached = format((v + ones * (guard - best)) >> shift & ones, "b")[::-width]
+    return best, [e for e, bit in enumerate(reached, 1) if bit == "1"], running_best
+
+
+def _least_window(signs: list[int], lags: tuple[int, ...]) -> tuple[int, int, tuple, int]:
+    """(U, d1, lags, sign) of the least window, by U then start, whose |sum|
+    of the terms s_i * s_(i+lag) * ... is max - min of their prefix sums.
+
+    Such a window runs between a min and a max position of the prefix sums,
+    with no extreme position inside, or a part of it would be shorter. So
+    the least ones join neighbouring extreme positions, one a min and one a
+    max; the sum is positive when the min comes first.
+    """
     terms = signs
     for lag in lags:
         terms = map(mul, terms, signs[lag:])
-    return list(accumulate(terms, initial=0))
+    prefix = list(accumulate(terms, initial=0))
+    lo, hi = min(prefix), max(prefix)
+    ends = [i for i, p in enumerate(prefix) if p == lo or p == hi]
+    return min(
+        (b - a, a, lags, 1 if prefix[a] == lo else -1)
+        for a, b in zip(ends, ends[1:])
+        if prefix[a] != prefix[b]
+    )
 
 
 def expansion_complexity(w: Word, n: int, d_max: int = 16) -> int | None:

@@ -137,16 +137,24 @@ def verify_lemma1(s: PeriodicSequence, instance: str | None = None) -> Verificat
     """The aperiodic minimum stabilizes at q for every N > 2T.
 
     Checks N in {2T+1, 2T+2, 2T+3} and records mu(2T), which may still fall
-    short of q. The four lengths are one run: one Euclid and three steps.
+    short of q.
     """
     s = s.normalized()
-    instance = instance or f"period {s.word.to01()}"
     T = s.T
     if T > LEMMA1_T_BOUND:
         raise BoundExceeded(f"T = {T} > lemma1 bound {LEMMA1_T_BOUND}")
-    q = adic.connection(s).q
-    w = s.prefix(2 * T + 3)
-    mus = adic.adic_mu(w, [2 * T, 2 * T + 1, 2 * T + 2, 2 * T + 3])
+    q, mus = _lemma1_mus(s)
+    return _lemma1_report(instance or f"period {s.word.to01()}", T, q, mus)
+
+
+def _lemma1_mus(s: PeriodicSequence) -> tuple[int, list[int]]:
+    """q and mu at N = 2T, ..., 2T + 3 of a normalized s. The four lengths
+    are one run: one Euclid and three steps."""
+    n = 2 * s.T
+    return adic.connection(s).q, adic.adic_mu(s.prefix(n + 3), [n, n + 1, n + 2, n + 3])
+
+
+def _lemma1_report(instance: str, T: int, q: int, mus: list[int]) -> VerificationReport:
     evidence = {
         "T": T,
         "q": q,
@@ -154,9 +162,8 @@ def verify_lemma1(s: PeriodicSequence, instance: str | None = None) -> Verificat
         "mu_after": mus[1:],
         "gap_at_2T": mus[0] < q,
     }
-    if all(m == q for m in mus[1:]):
-        return VerificationReport("lemma1", instance, PASS, evidence)
-    return VerificationReport("lemma1", instance, FAIL, evidence)
+    status = PASS if all(m == q for m in mus[1:]) else FAIL
+    return VerificationReport("lemma1", instance, status, evidence)
 
 
 def _coset_reps(q: int):
@@ -242,11 +249,19 @@ def verify_thm5(q: int) -> VerificationReport:
     """
     if q > 10_000:
         raise BoundExceeded(f"need q <= 10000, got {q}")
-    formula = maxorder.moc_ell_formula(q)  # validates the modulus shape
-    computed = maxorder.moc_from_coset(1, q)
+    p, k = maxorder._ell_power(q)  # validates the modulus shape
+    return _thm5_report(q, p, k)
+
+
+def _thm5_report(q: int, p: int, k: int) -> VerificationReport:
+    """verify_thm5 for an ell modulus q = p^k. With 2 primitive, its
+    orbit is the whole unit group: M is read from the unit mask, as
+    moc_from_coset(1, q) does, and the period T = ord_q(2) is phi(q)."""
+    formula = maxorder._ell_value(q)
+    computed = maxorder._unit_group_width(q, p)
     evidence = {
         "q": q,
-        "T": maxorder.ell_period(q),
+        "T": (p - 1) * p ** (k - 1),
         "formula": formula,
         "computed": computed,
         "floor_case": q in maxorder.ELL_FLOOR_MODULI,
@@ -642,11 +657,11 @@ def lemma1_suite(t_max: int):
         failed = None
         for s in _least_period_words(T):
             words += 1
-            r = verify_lemma1(s)
-            if not r.ok():
-                failed = VerificationReport("lemma1", f"exhaustive T={T}", FAIL, r.evidence)
+            q, mus = _lemma1_mus(s)
+            if any(m != q for m in mus[1:]):
+                failed = _lemma1_report(f"exhaustive T={T}", T, q, mus)
                 break
-            if r.evidence["gap_at_2T"]:
+            if mus[0] < q:
                 gaps += 1
         reports.append(
             failed
@@ -665,7 +680,7 @@ def thm4_suite(q_max: int = 1000):
 
 
 def thm5_suite(q_max: int = 10_000):
-    return [verify_thm5(q) for q in maxorder.ell_moduli(q_max)]
+    return [_thm5_report(q, p, k) for q, p, k in maxorder._ell_powers(q_max)]
 
 
 def thm6_suite(t_max: int):

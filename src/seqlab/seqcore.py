@@ -113,15 +113,16 @@ class PeriodicSequence(NamedTuple):
 
 
 def least_period(w: Word) -> PeriodicSequence:
-    """Normalize a period word: find the least d dividing len(w) that tiles it."""
-    T = len(w)
-    if T == 0:
-        raise InvalidParameter("empty word has no period")
+    """Normalize a period word: its least period d, the least d >= 1 whose
+    rotation maps the word to itself, read as the first match of the word
+    at offset d in two copies of it. The rotations that fix the word form
+    a group, so that least d divides len(w), and the word is its first d
+    symbols repeated."""
     data = w.bits
-    for d in range(1, T + 1):
-        if T % d == 0 and data == data[:d] * (T // d):
-            return PeriodicSequence(Word(data[:d]), least=True)
-    raise AssertionError("unreachable: d = T always tiles")
+    if not data:
+        raise InvalidParameter("empty word has no period")
+    d = (data + data).find(data, 1)
+    return PeriodicSequence(Word(data[:d]), least=True)
 
 
 def reverse_period(s: PeriodicSequence) -> PeriodicSequence:

@@ -8,6 +8,7 @@ import csv
 import io
 import itertools
 import math
+import operator
 
 
 def _euler_criterion(a: int, p: int) -> int:
@@ -472,6 +473,88 @@ def correlation_single_pass(bits, k: int) -> tuple[int, int, tuple[int, ...], in
     u, d1, lags = best_key
     offsets = (d1,) + tuple(d1 + lag for lag in lags)
     return best_val, u, offsets, best_sign * best_val
+
+
+def correlation_by_prefix_sums(bits, k: int) -> tuple[int, int, tuple[int, ...], int]:
+    """Order-k correlation of bits (a sequence of bits) as
+    (value, window U, offsets, signed sum), one prefix-sum list per lag
+    tuple: a tuple's value is the max minus the min of the prefix sums of
+    its sign products. The least (U, d1, lag tuple) is searched only in the
+    tuples that tie the final value, each prefix position looking up the
+    latest earlier position whose sum differs by the value."""
+    n = len(bits)
+    signs = [1 - 2 * b for b in bits]
+
+    def prefix_sums(lags):
+        terms = signs
+        for lag in lags:
+            terms = map(operator.mul, terms, signs[lag:])
+        return list(itertools.accumulate(terms, initial=0))
+
+    best_val = 0
+    ties = []
+    for lags in itertools.combinations(range(1, n), k - 1):
+        prefix = prefix_sums(lags)
+        val = max(prefix) - min(prefix)
+        if val > best_val:
+            best_val, ties = val, [lags]
+        elif val == best_val:
+            ties.append(lags)
+    best_key = None  # (U, d1, lag tuple)
+    best_sign = 1
+    for lags in ties:
+        latest: dict[int, int] = {}
+        for b, pb in enumerate(prefix_sums(lags)):
+            for target, sign in ((pb - best_val, 1), (pb + best_val, -1)):
+                a = latest.get(target)
+                if a is not None:
+                    key = (b - a, a, lags)
+                    if best_key is None or key < best_key:
+                        best_key = key
+                        best_sign = sign
+            latest[pb] = b
+    u, d1, lags = best_key
+    offsets = (d1,) + tuple(d1 + lag for lag in lags)
+    return best_val, u, offsets, best_sign * best_val
+
+
+def correlation2_profile_nested(bits) -> list[int]:
+    """Order-2 correlation of every prefix of bits, 0 at length 1, by a
+    loop over (prefix, lag): each new bit s_n adds (-1)^(s_(n-l) + s_n) to
+    the running sum of every lag l <= n, each lag keeps the max and min of
+    its sums (from 0), and the value is the largest max - min so far."""
+    acc = [0]  # per lag l, at index l; index 0 unused
+    hi = [0]
+    lo = [0]
+    best = 0
+    values = []
+    for n, bit in enumerate(bits):
+        for lag in range(1, n + 1):
+            a = acc[lag] + (-1 if bits[n - lag] ^ bit else 1)
+            acc[lag] = a
+            if a > hi[lag]:
+                hi[lag] = a
+            elif a < lo[lag]:
+                lo[lag] = a
+            else:
+                continue
+            if hi[lag] - lo[lag] > best:
+                best = hi[lag] - lo[lag]
+        values.append(best)
+        acc.append(0)
+        hi.append(0)
+        lo.append(0)
+    return values
+
+
+def least_period_by_divisors(bits) -> int:
+    """Least period of a nonempty word (bytes of bits): the least d
+    dividing its length whose first d symbols, repeated, give the word."""
+    T = len(bits)
+    for d in range(1, T + 1):
+        if T % d == 0 and bits == bits[:d] * (T // d):
+            return d
+    raise AssertionError("unreachable: d = T always tiles")
 
 
 def ell_moduli_by_trial(limit: int) -> list[int]:

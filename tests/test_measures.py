@@ -6,7 +6,13 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from referees import correlation_single_pass, expansion_elimination, linear_complexity_bm
+from referees import (
+    correlation2_profile_nested,
+    correlation_by_prefix_sums,
+    correlation_single_pass,
+    expansion_elimination,
+    linear_complexity_bm,
+)
 from seqlab.errors import BoundExceeded, TooShort
 from seqlab.generators import (
     IDENTITY,
@@ -240,6 +246,38 @@ def test_correlation_witness_matches_single_pass_referee():
                 assert_matches_single_pass(w, k)
         for _ in range(count):
             assert_matches_single_pass(random_word(rng, rng.randrange(k, longest + 1)), k)
+
+
+def assert_matches_prefix_sums(w, k):
+    value, witness = correlation_k(w, k)
+    assert (value, witness.window, witness.offsets, witness.value) == correlation_by_prefix_sums(
+        w.bits, k
+    ), (w.to01(), k)
+
+
+def test_lane_walk_matches_prefix_sum_referee_exhaustive():
+    # Value and witness, k = 2 and 3, on every word of up to 12 bits.
+    for k in (2, 3):
+        for length in range(k, 13):
+            for w in all_words(length):
+                assert_matches_prefix_sums(w, k)
+
+
+def test_lane_walk_matches_prefix_sum_referee_random():
+    rng = random.Random(47)
+    for k, count in ((2, 60), (3, 30), (4, 6)):
+        for _ in range(count):
+            assert_matches_prefix_sums(random_word(rng, rng.randrange(k, 65)), k)
+        assert_matches_prefix_sums(random_word(rng, 64), k)
+
+
+def test_correlation2_profile_at_bound_matches_nested_referee():
+    # On the constant word every lag reaches its largest value, len - lag,
+    # so every lane of the walk reaches its top. Zeros then alternation
+    # drive lag 1's sum up by 1023 and then down by 1024.
+    rng = random.Random(48)
+    for w in (Word(bytes(2048)), Word.from01("0" * 1024 + "01" * 512), random_word(rng, 2048)):
+        assert list(correlation2_profile(w)) == correlation2_profile_nested(w.bits)
 
 
 def test_correlation_frozen_values():

@@ -19,7 +19,7 @@ from referees import (
 from seqlab import adic, cli, generators, maxorder, numtheory
 from seqlab.adic import adic_min
 from seqlab.cli import _reports_text, _scan_text
-from seqlab.errors import BoundExceeded, InvalidParameter
+from seqlab.errors import BoundExceeded, InvalidParameter, NotEllModulus
 from seqlab.generators import SeqSpec, PolySpec, fcsr_word, legendre_period, IDENTITY
 from seqlab.maxorder import moc
 from seqlab.relations import (
@@ -471,6 +471,59 @@ def test_lemma1_suite_matches_per_length_referee():
     # The suite reads 2T..2T+3 as one run; the referee runs adic_min at
     # each length.
     assert _rows(lemma1_suite(12)) == lemma1_per_length(12, _q_of, _mu_of)
+
+
+def test_lemma1_suite_reports_a_failing_word_as_verify_lemma1_does(monkeypatch):
+    # Words are read without a report each; a failing word's evidence is
+    # the one verify_lemma1 gives it, under the suite's instance.
+    real = adic.adic_mu
+    bad = PeriodicSequence(Word.from01("0111"), least=True)
+
+    def broken(w, ns):
+        mus = real(w, ns)
+        return mus[:1] + [m + 1 for m in mus[1:]] if w == bad.prefix(11) else mus
+
+    monkeypatch.setattr(adic, "adic_mu", broken)
+    reports = lemma1_suite(5)
+    assert [r.status for r in reports] == ["pass"] * 4 + ["fail", "pass"]
+    expected = verify_lemma1(bad)
+    assert reports[4] == ("lemma1", "exhaustive T=4", "fail", expected.evidence)
+    assert expected.status == "fail"
+
+
+def test_thm5_suite_matches_the_public_verifier():
+    assert thm5_suite(3000) == [verify_thm5(q) for q in maxorder.ell_moduli(3000)]
+    for q in (7, 15, 17, 10_007):
+        with pytest.raises((NotEllModulus, BoundExceeded)):
+            verify_thm5(q)
+
+
+def test_thm5_factorizes_each_modulus_once(monkeypatch):
+    calls = []
+    real = numtheory.factorize
+    phis = {q: numtheory.euler_phi(q) for q in (11, 27, 9491)}
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(numtheory, "factorize", counting)
+    monkeypatch.setattr(maxorder, "factorize", counting)
+    for q, phi in phis.items():
+        calls.clear()
+        assert verify_thm5(q).ok()
+        assert calls == [q, phi], q
+    # The sieve knows each modulus as p^k, so the suite factorizes no
+    # modulus, and phi(p^k) once for each prime power it tests: the ell
+    # moduli and, per prime, at most the first power where 2 fails.
+    calls.clear()
+    moduli = maxorder.ell_moduli(10_000)
+    tested = len(calls)
+    calls.clear()
+    reports = thm5_suite()
+    assert len(reports) == len(moduli) == 494
+    assert len(calls) == tested <= len(moduli) + sum(map(numtheory.is_prime, range(3, 10_001, 2)))
+    assert all(n % 2 == 0 for n in calls)
 
 
 def _thm1_referee(w, instance=None):

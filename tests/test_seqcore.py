@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from referees import least_period_by_divisors
 from seqlab.errors import MalformedBitFile
 from seqlab.seqcore import (
     PeriodicSequence,
@@ -86,6 +87,22 @@ def test_least_period_divides_and_tiles():
         for e in range(1, d):
             if d % e == 0:
                 assert s.word.bits != s.word.bits[:e] * (d // e)
+
+
+def test_least_period_matches_divisor_referee():
+    for T in range(1, 15):
+        for v in range(1 << T):
+            bits = bytes((v >> i) & 1 for i in range(T))
+            s = least_period(Word(bits))
+            assert s.T == least_period_by_divisors(bits), bits
+            assert s.word.bits == bits[: s.T] and s.least
+    rng = random.Random(13)
+    for _ in range(300):
+        d = rng.randrange(1, 200)
+        bits = bytes(rng.getrandbits(1) for _ in range(d)) * rng.randrange(1, 40)
+        s = least_period(Word(bits))
+        assert s.T == least_period_by_divisors(bits)
+        assert d % s.T == 0
 
 
 def test_periodic_sequence_access():
