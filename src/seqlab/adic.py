@@ -13,9 +13,13 @@ canonical tie-broken pair is the least of u, v, u + v and u - v. Where only
 mu is wanted, at a strictly increasing list of lengths (adic_mu; adic_profile
 is its list 1..N), each run of consecutive lengths takes one Euclid and one
 Gauss reduction at its first length, or the trivial basis at length 1, and
-then carries the basis bit by bit with its residues, updated by shift and
-add and kept reduced one step at a time; the basis is rechecked at the
-run's end. An exhaustive oracle anchors exactness at small N.
+then carries the basis bit by bit with its residues and its two sup
+norms, updated by shift and add and kept reduced one step at a time. The
+index-2 step doubles or swaps the norms, so only u - v is measured afresh,
+and each reduction step tests the one sign of u that can shorten v where
+its norm is reached. A single length takes no steps. The basis is
+rechecked at the run's end. An exhaustive oracle anchors exactness at
+small N.
 """
 
 from __future__ import annotations
@@ -286,12 +290,13 @@ def adic_mu(w: Word, ns: Sequence[int]) -> list[int]:
 
     Each maximal run a..b of consecutive lengths costs one jump and b - a
     steps. The jump to a is _euclid_rows plus _sup_gauss (rechecked by
-    _checked_rows and _sup_reduced), with the exact residues
-    r = (f - q*S)/2^a of both vectors; a run from 1 starts instead from the
-    basis (1, 0), (0, 1) of the empty word, with residues 1 and 0. The
-    steps are _steps, and the basis at b is rechecked by
-    _check_profile_basis. So a run of k lengths costs one Euclid and k - 1
-    steps where adic_minima would run k Euclids and k readouts.
+    _checked_rows and _sup_reduced); the steps, _steps, start from it with
+    the exact residues r = (f - q*S)/2^a of both vectors, which a single
+    length (a = b) neither takes nor needs. A run from 1 starts instead
+    from the basis (1, 0), (0, 1) of the empty word, with residues 1 and 0.
+    The basis at b is rechecked by _check_profile_basis. So a run of k
+    lengths costs one Euclid and k - 1 steps where adic_minima would run k
+    Euclids and k readouts.
     """
     _check_lengths(w, ns)
     values: list[int] = []
@@ -311,15 +316,15 @@ def adic_mu(w: Word, ns: Sequence[int]) -> list[int]:
     s = prefix_value(w, ns[-1])
     for a, b in runs:
         if a == 1:
-            # The basis at length 0; the steps then read mu from length 1.
-            uf, uq, ru, vf, vq, rv = 1, 0, 1, 0, 1, 0
-            a = 0
+            # The steps read mu from length 1 on.
+            uf, uq, vf, vq = _steps(w.bits[:b], 1, 0, 1, 0, 1, 0, values)
         else:
             sa = s & ((1 << a) - 1)
             uf, uq, vf, vq = _sup_gauss(*_euclid_rows(sa, a))
-            ru, rv = (uf - uq * sa) >> a, (vf - vq * sa) >> a
             values.append(max(abs(uf), abs(uq)) if uq & 1 else max(abs(vf), abs(vq)))
-        uf, uq, vf, vq = _steps(w.bits[a:b], uf, uq, ru, vf, vq, rv, values)
+            if b > a:
+                ru, rv = (uf - uq * sa) >> a, (vf - vq * sa) >> a
+                uf, uq, vf, vq = _steps(w.bits[a:b], uf, uq, ru, vf, vq, rv, values)
         _check_profile_basis(s & ((1 << b) - 1), b, uf, uq, vf, vq)
     return values
 
@@ -338,44 +343,84 @@ def _steps(bits: bytes, uf: int, uq: int, ru: int, vf: int, vq: int, rv: int, va
     every odd-q vector has an odd, hence nonzero, v-coefficient and is
     independent of u, so mu = |u| when uq is odd and |v| otherwise. The
     successive minima do not depend on the basis, so neither does mu.
+
+    The sup norms nu = |u| and nv = |v| are carried with the basis, as the
+    index-2 step takes 2v or 2u, whose norm doubles, and keeps or reuses
+    the other vector: with ru even, u stays and v becomes 2v; with ru odd
+    and rv even, u becomes v and v becomes 2u; with both odd, u becomes
+    u - v, the one vector measured afresh, and v becomes 2v. A norm is two
+    conditional negations and a comparison, cheaper in CPython than calls
+    to abs and max.
+
+    The reduction tests one candidate per step. Let c be a coordinate, f or
+    q, where |v| is reached: |v_c| = |v| > 0. If |v - s*u| < |v| with
+    s = +-1, then |v_c - s*u_c| < |v_c|, which needs s*u_c nonzero and of
+    the sign of v_c. So s = sign(u_c*v_c) is the only sign that can shorten
+    v, and none can when u_c = 0. On a tie |vf| = |vq| both coordinates must
+    shrink, so taking c = f loses nothing; otherwise c is the larger one.
+    The candidate is then measured in full: if it is no shorter, v is the
+    shortest v + k*u, by convexity of k -> |v + k*u|.
     """
+    nu = uf if uf >= 0 else -uf
+    t = uq if uq >= 0 else -uq
+    if t > nu:
+        nu = t
+    nv = vf if vf >= 0 else -vf
+    t = vq if vq >= 0 else -vq
+    if t > nv:
+        nv = t
     for bit in bits:
         if bit:
             ru -= uq
             rv -= vq
         if ru & 1:
             if rv & 1:
-                uf, uq, ru, vf, vq = uf - vf, uq - vq, (ru - rv) >> 1, vf << 1, vq << 1
+                uf, uq, ru, vf, vq, nv = uf - vf, uq - vq, (ru - rv) >> 1, vf << 1, vq << 1, nv << 1
+                nu = uf if uf >= 0 else -uf
+                t = uq if uq >= 0 else -uq
+                if t > nu:
+                    nu = t
             else:
-                uf, uq, ru, vf, vq, rv = vf, vq, rv >> 1, uf << 1, uq << 1, ru
+                uf, uq, ru, nu, vf, vq, rv, nv = vf, vq, rv >> 1, nv, uf << 1, uq << 1, ru, nu << 1
         else:
             if not rv & 1:
                 raise AssertionError("index-2 step left both basis vectors inside")
             ru >>= 1
-            vf, vq = vf << 1, vq << 1
-        nu = max(abs(uf), abs(uq))
-        nv = max(abs(vf), abs(vq))
+            vf, vq, nv = vf << 1, vq << 1, nv << 1
         if nu > nv:
             uf, uq, ru, nu, vf, vq, rv, nv = vf, vq, rv, nv, uf, uq, ru, nu
-        # Sup-norm Gauss reduction. x -> |v - x*u| is convex, so v is the
-        # shortest v + k*u once neither v - u nor v + u is shorter;
-        # otherwise step v toward the least one u at a time, and swap if v
-        # ends shorter than u. The index-2 step leaves the basis within a
-        # factor 2 of reduced, so the steps per bit stay few (three at most
-        # on every word tried).
+        # Sup-norm Gauss reduction: stop if the one candidate v - s*u is no
+        # shorter than v; otherwise step v by s*u while that shortens it,
+        # and swap if v ends shorter than u. The index-2 step leaves the
+        # basis within a factor 2 of reduced, so the steps per bit stay few
+        # (three at most on every word tried).
         while True:
-            if max(abs(vf - uf), abs(vq - uq)) < nv:
-                sf, sq, sr = uf, uq, ru
-            elif max(abs(vf + uf), abs(vq + uq)) < nv:
+            if vf == nv or vf == -nv:
+                cu, cv = uf, vf
+            else:
+                cu, cv = uq, vq
+            if not cu:
+                break
+            if (cu < 0) != (cv < 0):
                 sf, sq, sr = -uf, -uq, -ru
             else:
+                sf, sq, sr = uf, uq, ru
+            wf, wq = vf - sf, vq - sq
+            nw = wf if wf >= 0 else -wf
+            t = wq if wq >= 0 else -wq
+            if t > nw:
+                nw = t
+            if nw >= nv:
                 break
             while True:
+                vf, vq, rv, nv = wf, wq, rv - sr, nw
                 wf, wq = vf - sf, vq - sq
-                nw = max(abs(wf), abs(wq))
+                nw = wf if wf >= 0 else -wf
+                t = wq if wq >= 0 else -wq
+                if t > nw:
+                    nw = t
                 if nw >= nv:
                     break
-                vf, vq, rv, nv = wf, wq, rv - sr, nw
             if nv >= nu:
                 break
             uf, uq, ru, nu, vf, vq, rv, nv = vf, vq, rv, nv, uf, uq, ru, nu

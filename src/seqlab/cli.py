@@ -213,8 +213,9 @@ def _analyze_columns(spec: SeqSpec, nmax: int, names: tuple[str, ...]):
     if "moc" in names:
         series["moc"] = maxorder.moc_profile(w).values
     if "adic" in names:
-        series["mu"] = adic.adic_profile(w).values
-        series["log2_mu"] = [f"{numtheory.int_log2(v):.6f}" for v in series["mu"]]
+        mu = series["mu"] = adic.adic_profile(w).values
+        # One log2 per run of equal mu, as for every field.
+        series["log2_mu"] = list(_fields(mu, text=lambda v: f"{numtheory.int_log2(v):.6f}"))
     if "linear" in names:
         series["linear"] = measures.linear_profile(w).values
     if "correlation" in names:

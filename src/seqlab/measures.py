@@ -7,10 +7,10 @@ packed into the lanes of a few ints (SWAR; Lamport, CACM 18(8), 1975), for
 order-2 correlation, and one F2 echelon over the monomial columns x^i y^j,
 fed one coefficient row per bit, for expansion complexity.
 expansion_complexity at one N reads that profile. correlation2 reads every
-lag at the end of the same walk, and correlation_k runs it once per tuple
-of its first k - 2 lags. The least window is searched only in the lag
-tuples that tie the best value. The linear complexity of a periodic
-sequence is one polynomial gcd over GF(2).
+lag at the end of the same walk (correlation2_value only its best), and
+correlation_k runs it once per tuple of its first k - 2 lags. The least
+window is searched only in the lag tuples that tie the best value. The
+linear complexity of a periodic sequence is one polynomial gcd over GF(2).
 """
 
 from __future__ import annotations
@@ -86,6 +86,14 @@ def correlation2(w: Word) -> tuple[int, CorrelationWitness]:
     if len(w) < 2:
         raise TooShort(f"need length >= 2, got {len(w)}")
     return _correlation(w, 2)
+
+
+def correlation2_value(w: Word) -> int:
+    """correlation2(w)[0] without the witness: the best of one lane-packed
+    walk over every lag, with no search for the least window."""
+    if len(w) < 2:
+        raise TooShort(f"need length >= 2, got {len(w)}")
+    return _lag_walk(w.bits, w.bits)[0]
 
 
 def correlation2_profile(w: Word) -> Profile:

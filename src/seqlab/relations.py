@@ -101,7 +101,7 @@ def verify_cor1(w: Word, instance: str | None = None) -> VerificationReport:
     bound = oracle_bound("corr")
     if n > bound:
         raise BoundExceeded(f"len = {n} > correlation bound {bound}")
-    c2, _ = measures.correlation2(w)
+    c2 = measures.correlation2_value(w)
     mu = adic.adic_min(w, n).mu
     cap = numtheory.ceil_log2(mu) + 1
     lhs = 1 << cap

@@ -211,6 +211,50 @@ def _x_candidates(cf: int, cq: int, uf: int, uq: int) -> set[int]:
     return cands
 
 
+def adic_steps_both_signs(bits, uf: int, uq: int, ru: int, vf: int, vq: int, rv: int, values: list):
+    """The loop adic._steps replaced, with its arguments and results: each
+    bit takes the shift-and-add index-2 step of a sup-norm reduced basis
+    u, v with residues ru, rv, measures both norms afresh with abs and max,
+    and reduces by testing v - u, then v + u, until neither is shorter.
+    Appends mu at each new length and returns the last basis."""
+    for bit in bits:
+        if bit:
+            ru -= uq
+            rv -= vq
+        if ru & 1:
+            if rv & 1:
+                uf, uq, ru, vf, vq = uf - vf, uq - vq, (ru - rv) >> 1, vf << 1, vq << 1
+            else:
+                uf, uq, ru, vf, vq, rv = vf, vq, rv >> 1, uf << 1, uq << 1, ru
+        else:
+            if not rv & 1:
+                raise AssertionError("index-2 step left both basis vectors inside")
+            ru >>= 1
+            vf, vq = vf << 1, vq << 1
+        nu = max(abs(uf), abs(uq))
+        nv = max(abs(vf), abs(vq))
+        if nu > nv:
+            uf, uq, ru, nu, vf, vq, rv, nv = vf, vq, rv, nv, uf, uq, ru, nu
+        while True:
+            if max(abs(vf - uf), abs(vq - uq)) < nv:
+                sf, sq, sr = uf, uq, ru
+            elif max(abs(vf + uf), abs(vq + uq)) < nv:
+                sf, sq, sr = -uf, -uq, -ru
+            else:
+                break
+            while True:
+                wf, wq = vf - sf, vq - sq
+                nw = max(abs(wf), abs(wq))
+                if nw >= nv:
+                    break
+                vf, vq, rv, nv = wf, wq, rv - sr, nw
+            if nv >= nu:
+                break
+            uf, uq, ru, nu, vf, vq, rv, nv = vf, vq, rv, nv, uf, uq, ru, nu
+        values.append(nu if uq & 1 else nv)
+    return uf, uq, vf, vq
+
+
 def carry_register_bits(a: int, q: int, n: int) -> list[int]:
     """First n bits of the carry-register sequence s_i = (a * 2^-i mod q)
     mod 2, one register step per bit: halve the state mod q."""

@@ -8,7 +8,7 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from referees import Lattice, euclid_rows
+from referees import Lattice, adic_steps_both_signs, euclid_rows
 
 import seqlab.adic as adic
 from seqlab.adic import (
@@ -23,7 +23,7 @@ from seqlab.adic import (
     phi2_symmetric,
 )
 from seqlab.errors import OracleBoundExceeded
-from seqlab.generators import SeqSpec, fcsr_word, pattern_word
+from seqlab.generators import SeqSpec, fcsr_word, materialize, pattern_word
 from seqlab.relations import conjecture_scan
 from seqlab.seqcore import (
     PeriodicSequence,
@@ -290,11 +290,15 @@ def test_mu_at_matches_adic_min_random_long():
 def test_mu_at_checks_every_jump_and_every_run(monkeypatch):
     # One Euclid per run not starting at 1, rechecked as rows and as a
     # reduced basis; the basis at each run's end rechecked as a lattice basis.
+    # A run of one length other than 1 takes no steps; a run from 1 steps
+    # from length 0.
     w = Word.from01("0100110101110001")
     ns = [1, 2, 3, 5, 6, 9, 14, 15, 16]
     want = [adic_min(w, n).mu for n in ns]
-    calls = {"rows": [], "reduced": 0, "basis": []}
-    rows, reduced, basis = adic._checked_rows, adic._sup_reduced, adic._check_profile_basis
+    calls = {"rows": [], "reduced": 0, "basis": [], "steps": []}
+    rows, reduced, basis, steps = (
+        adic._checked_rows, adic._sup_reduced, adic._check_profile_basis, adic._steps
+    )
 
     def count_reduced(*args):
         calls["reduced"] += 1
@@ -305,10 +309,79 @@ def test_mu_at_checks_every_jump_and_every_run(monkeypatch):
     monkeypatch.setattr(
         adic, "_check_profile_basis", lambda *a: calls["basis"].append(a[1]) or basis(*a)
     )
+    monkeypatch.setattr(
+        adic, "_steps", lambda bits, *a: calls["steps"].append(len(bits)) or steps(bits, *a)
+    )
     assert adic.adic_mu(w, ns) == want
-    assert calls["rows"] == [5, 9, 14]
-    assert calls["basis"] == [3, 6, 9, 16]
-    assert calls["reduced"] == 3 + 4
+    assert calls == {
+        "rows": [5, 9, 14], "reduced": 3 + 4, "basis": [3, 6, 9, 16], "steps": [3, 1, 2]
+    }
+    ns = [1, 4, 9, 16]
+    want = [adic_min(w, n).mu for n in ns]
+    calls.update(rows=[], basis=[], steps=[])
+    assert adic.adic_mu(w, ns) == want
+    assert (calls["rows"], calls["basis"], calls["steps"]) == ([4, 9, 16], [1, 4, 9, 16], [1])
+
+
+def test_steps_match_referee_every_word_to_14():
+    # From the empty basis, every word of every length up to 14: mu at
+    # every length and the final basis.
+    for length in range(1, 15):
+        for v in range(1 << length):
+            bits = bytes((v >> i) & 1 for i in range(length))
+            got, want = [], []
+            out = adic._steps(bits, 1, 0, 1, 0, 1, 0, got)
+            assert (got, out) == (want, adic_steps_both_signs(bits, 1, 0, 1, 0, 1, 0, want)), bits
+
+
+def check_steps_against_referee(monkeypatch):
+    """Make every adic._steps call also run the referee from the same basis
+    and assert the same values and final basis; returns the list of the
+    bit counts of the calls."""
+    steps, calls = adic._steps, []
+
+    def both(bits, *basis):
+        *start, values = basis
+        got, want = [], []
+        out = steps(bits, *start, got)
+        ref = adic_steps_both_signs(bits, *start, want)
+        assert (got, out) == (want, ref), (bytes(bits), start)
+        values += got
+        calls.append(len(bits))
+        return out
+
+    monkeypatch.setattr(adic, "_steps", both)
+    return calls
+
+
+def test_steps_match_referee_after_every_jump(monkeypatch):
+    # Runs a..12 that start from a Euclid jump at every a, on every 12-bit
+    # word: the basis _sup_gauss hands over, not only the empty one.
+    calls = check_steps_against_referee(monkeypatch)
+    for w in all_words(12):
+        for a in range(1, 12):
+            adic.adic_mu(w, range(a, 13))
+    assert len(calls) == 11 << 12
+
+
+def test_steps_match_referee_long_words(monkeypatch):
+    calls = check_steps_against_referee(monkeypatch)
+    rng = random.Random(43)
+    words = [random_word(rng, rng.randrange(1, 3001)) for _ in range(20)]
+    words.append(random_word(rng, 20000))
+    n = 20000
+    words += [
+        Word(bytes(n)),
+        Word(bytes([1]) * n),
+        Word(b"\x01" + bytes(n - 1)),
+        materialize(SeqSpec("thue-morse"), n),
+        materialize(SeqSpec("rudin-shapiro"), n),
+    ]
+    for w in words:
+        adic_profile(w)
+        a = rng.randrange(2, len(w)) if len(w) > 2 else 1
+        adic.adic_mu(w, range(a, len(w) + 1))
+    assert len(calls) == 2 * len(words)
 
 
 def test_adic_mu_is_public_and_checks_its_lengths():

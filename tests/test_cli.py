@@ -287,6 +287,60 @@ def test_analyze_csv_pinned(tmp_path, monkeypatch):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, args
 
 
+def test_analyze_profiles_words_pinned(tmp_path, monkeypatch):
+    # SHA-256 of the CSV and the JSON of the default measures on the words
+    # of the benchmark's profiles workload (a seeded random word stands for
+    # its file word), recorded when log2_mu was formatted at every N and
+    # adic_profile's steps measured both norms on every bit.
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(61)
+    (tmp_path / "rand.bits").write_text("".join(str(rng.getrandbits(1)) for _ in range(5000)) + "\n")
+    expected = {
+        ("thue-morse", 5000): (
+            "0122ba813888e4409e0116adabc62705608d677a10bbe0156db3ccc5cc1ebc78",
+            "dd93d2605e161255aed3caa669671ac67f36d9bf17b29609197a358ecf3c550e",
+        ),
+        ("rudin-shapiro", 5000): (
+            "60ea87016386a9a4dcce9b279acad9f5476b882e9f0bc62238fc89c2cefa0d20",
+            "988b8d558fd27061eaa97435137caa2a70959bbc9fe112117b1966eefa6600d7",
+        ),
+        ("legendre:p=10007", 5000): (
+            "9a1ac6fa06084c8542b0c04f2be4fc26cdd085c7a7007514772c30b43602a6a1",
+            "2bcb4ab80879aefc2a78eac1e2a74f9d1c467a2bfd5e653b630cd8a3746e9caa",
+        ),
+        ("file:path=rand.bits", 5000): (
+            "5f4d6f9f20735c10033d78e8d4bc77cd135a0a7ac96840cc4154553ec70691d8",
+            "33d100bf97488919ce2d0ffaf02a97b8a7b26017e6b4d1b60d3da67cc01fb864",
+        ),
+        ("zero", 2500): (
+            "cea5eb461016c4a3b8d5927564ac654ee97faf066d426f0e85e5206c91e85ae8",
+            "7362cd6379994cd3541c626091425d222e07b941d9e55e227bf55f8b9b58b4d4",
+        ),
+        ("zero", 5000): (
+            "75cf823c8c322957591f365a808963ed1825d9d1e63549c99c0dcbed436b5888",
+            "25793b2f2d4b1591d39edabe4f19bcd5fcc0bff1059f2ac1fba2dd5ad51636cd",
+        ),
+    }
+    for (seq, nmax), digests in expected.items():
+        for fmt, digest in zip(("csv", "json"), digests):
+            code, out, _ = run(["analyze", "--seq", seq, "--nmax", str(nmax), "--format", fmt])
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, (seq, nmax, fmt)
+
+
+def test_analyze_formats_log2_once_per_run_of_mu(monkeypatch):
+    calls = []
+    log2 = cli.numtheory.int_log2
+    monkeypatch.setattr(cli.numtheory, "int_log2", lambda v: calls.append(v) or log2(v))
+    code, out, _ = run(["analyze", "--seq", "thue-morse", "--nmax", "2000", "--measures", "adic"])
+    assert code == 0
+    mu = adic.adic_profile(generators.materialize(SeqSpec("thue-morse"), 2000)).values
+    runs = [v for i, v in enumerate(mu) if i == 0 or v != mu[i - 1]]
+    assert calls == runs
+    assert len(runs) < len(mu) // 2
+    assert out.splitlines()[2:] == [f"{n},{v},{log2(v):.6f}" for n, v in enumerate(mu, 1)]
+
+
 def _analyze_referee_cases(tmp_path):
     """(seq, nmax, measures) for each measure alone and all five together
     on constant, structured and random words, at one bit and at 200; last

@@ -28,6 +28,7 @@ from seqlab.numtheory import is_prime
 from seqlab.measures import (
     correlation2,
     correlation2_profile,
+    correlation2_value,
     correlation_k,
     expansion_complexity,
     expansion_profile,
@@ -299,6 +300,17 @@ def test_correlation2_profile_exhaustive():
         assert prof.at(1) == 0
         for n in range(2, 12):
             assert prof.at(n) == correlation2(w[:n])[0], (w.to01(), n)
+
+
+def test_correlation2_value_is_correlation2_without_witness():
+    words = [w for n in range(2, 13) for w in all_words(n)]
+    rng = random.Random(59)
+    words += [random_word(rng, 128) for _ in range(200)]
+    for w in words:
+        assert correlation2_value(w) == correlation2(w)[0], w.to01()
+    for short in (Word(b""), Word(b"\x01")):
+        with pytest.raises(TooShort):
+            correlation2_value(short)
 
 
 def test_correlation2_profile_random():
