@@ -5,21 +5,25 @@ complexity is log2(q). Aperiodic: the exact minimum over odd q of
 max(|f|, |q|) subject to q * S = f (mod 2^N), where S is the base-2 value
 of the length-N prefix. The admissible pairs form a rank-2 lattice, so the
 minimum is read from a basis reduced in the sup norm: mu is |u| when uq is
-odd and |v| otherwise. At one length (adic_min, adic_minima) the basis
-comes from an extended Euclid on (2^N, S) stopped at the crossover, the
-2-adic form of rational reconstruction, run as Lehmer's Euclid on long
-rows; one Gauss reduction with closed-form multipliers finishes it, and the
-canonical tie-broken pair is the least of u, v, u + v and u - v. Where only
-mu is wanted, at a strictly increasing list of lengths (adic_mu; adic_profile
-is its list 1..N), each run of consecutive lengths takes one Euclid and one
-Gauss reduction at its first length, or the trivial basis at length 1, and
-then carries the basis bit by bit with its residues and its two sup
-norms, updated by shift and add and kept reduced one step at a time. The
-index-2 step doubles or swaps the norms, so only u - v is measured afresh,
-and each reduction step tests the one sign of u that can shorten v where
-its norm is reached. A single length takes no steps. The basis is
-rechecked at the run's end. An exhaustive oracle anchors exactness at
-small N.
+odd and |v| otherwise. The lattice at a length N' lies inside the one at
+N < N', so every reader carries one basis from length to length. A jump
+over k bits solves the k new congruences on the basis at hand with an
+extended Euclid on k-bit rows, the 2-adic form of rational reconstruction,
+run as Lehmer's Euclid on long rows and stopped where its two terms
+balance; a Gauss reduction with closed-form multipliers, iterated until
+the basis is reduced, finishes it. From the empty basis at length 0 the
+jump is the extended Euclid on (2^N, S) and one Gauss step. adic_min takes
+one jump and adic_minima one per point, each then reading the canonical
+tie-broken pair, the least of u, v, u + v and u - v. Where only mu is
+wanted, at a strictly increasing list of lengths (adic_mu; adic_profile is
+its list 1..N), each run of consecutive lengths is reached by a jump from
+the previous run's end (a run from 1 needs none), and then carries the
+basis bit by bit with its residues and its two sup norms, updated by shift
+and add and kept reduced one step at a time. The index-2 step doubles or
+swaps the norms, so only u - v is measured afresh, and each reduction step
+tests the one sign of u that can shorten v where its norm is reached. A
+single length takes no steps. The basis is rechecked at the run's end. An
+exhaustive oracle anchors exactness at small N.
 """
 
 from __future__ import annotations
@@ -103,99 +107,185 @@ def phi2_symmetric(s: PeriodicSequence) -> AdicValue:
     return AdicValue(min(q_fwd, q_rev))
 
 
-def _euclid_rows(s: int, n: int) -> tuple[int, int, int, int]:
-    """The rows (r0, t0), (r1, t1) of the extended Euclid on (2^n, s), from
-    (2^n, 0), (s, 1), where r first drops to |t| or below: r0 > |t0| and
-    r1 <= |t1|.
+def _jump(s: int, n: int, k: int, uf: int, uq: int, vf: int, vq: int) -> tuple[int, int, int, int]:
+    """A sup-norm reduced basis of L' = {(f, q): f = q*S (mod 2^(n + k))}
+    from a reduced basis u, v of L, the same lattice at length n; k >= 1 and
+    s is S mod 2^(n + k). From the empty basis (1, 0), (0, 1) at n = 0 it is
+    the extended Euclid on (2^k, S) and one Gauss step.
+
+    L' lies inside L with index 2^k. With the residues
+    r_w = (w_f - w_q*S)/2^n mod 2^k, a*u + b*v is in L' exactly when
+    a*r_u + b*r_v = 0 (mod 2^k). One residue is odd, as the index is 2^k;
+    swap u and v so that r_u is odd (no swap when both are). Then x*u + y*v
+    is in L' exactly when x = c*y (mod 2^k), c = -r_v/r_u mod 2^k by
+    _inverse. From the empty basis r_u = 1, so no inverse is taken and
+    c = S. The rows (r, t) of the extended Euclid on
+    (2^k, c), from (2^k, 0), (c, 1), all have r = t*c (mod 2^k), and two
+    consecutive rows have determinant +-2^k, so any two give the basis
+    r0*u + t0*v, r1*u + t1*v of L'. Like Stehle & Zimmermann's binary
+    recursive gcd, the jump works from the low-order bits, and its Euclid
+    is k bits long, not n + k. It stops where the two terms balance, at the
+    first row with r*|u| <= |t|*|v|, read on bit lengths as r*2^sh <= |t|
+    with sh = bitlen|u| - bitlen|v|: scaled by 2^sh (t by 2^-sh if sh < 0),
+    the rows have the same quotients and stop at r <= |t|. _sup_gauss
+    finishes the reduction. The stop does not bear on exactness, only on
+    the Gauss steps left: one or two on every jump tried.
 
     Knuth's Algorithm L (TAOCP vol. 2, 4.5.2; Lehmer 1938): while r1 is
     long, the quotients are found on the leading 62 bits of (r0, r1) and
-    kept only while the two bracketing quotients agree, so each is the
-    true quotient; the round's 2x2 cofactor matrix then moves both rows at
-    once. No round crosses the stopping row. Rows keep r_i*|t_(i+1)| <=
-    2^n, so a round starting with r1 >= 2^(n//2 + 70) has |t1| below
-    2^(n - n//2 - 70); its cofactors are below 2^62, so it leaves r0 above
-    2^(n//2 + 7) and |t0| <= |t1| below 2^(n - n//2 - 7). The schoolbook
-    loop takes the last steps, and all steps on rows of 1500 bits or
-    fewer: there one big-int division costs less than a quotient found on
-    the leading bits (measured in CPython 3.11).
+    kept only while the two bracketing quotients agree, so each is the true
+    quotient; the round's 2x2 cofactor matrix then moves both rows at once.
+    No round crosses the stopping row. Rows keep r_(i-1)*|t_i| <= 2^k, r
+    falls and |t| does not, so the stop, once met, holds at every later
+    row. A round starting with r1 >= 2^L has |t0| <= |t1| below 2^(k - L).
+    Its cofactors are below 2^62, so it leaves r0 above r1/2^63 >= 2^(L - 63)
+    and |t0| below 2^(k - L + 63), which is at most 2^(L - 63 + sh) when
+    L >= (k - sh)/2 + 63: then r0*2^sh > |t0|, and r0 is not yet the
+    stopping row. (A round that finds no quotient takes one schoolbook step
+    and leaves r0 = r1 >= 2^L.) So rounds run while r1 is longer than
+    L = max((k - sh)//2 + 70, 1500) bits. The schoolbook loop takes the last
+    steps, and all steps on rows of 1500 bits or fewer: there one big-int
+    division costs less than a quotient found on the leading bits (measured
+    in CPython 3.11), so no round is set up for k <= 1500.
     """
-    r0, t0, r1, t1 = 1 << n, 0, s, 1
-    long_bits = max(n // 2 + 70, 1500)
-    while r1.bit_length() > long_bits:
-        h = r0.bit_length() - 62
-        x, y = r0 >> h, r1 >> h
-        a, b, c, d = 1, 0, 0, 1
-        while y + c and y + d:
-            k = (x + a) // (y + c)
-            if k != (x + b) // (y + d):
-                break
-            a, b, c, d, x, y = c, d, a - k * c, b - k * d, y, x - k * y
-        if b:
-            r0, t0, r1, t1 = a * r0 + b * r1, a * t0 + b * t1, c * r0 + d * r1, c * t0 + d * t1
-        else:
-            # No quotient fits in the leading bits: one schoolbook step.
-            k = r0 // r1
-            r0, t0, r1, t1 = r1, t1, r0 - k * r1, t0 - k * t1
+    if n:
+        mask = (1 << k) - 1
+        ru = ((uf - uq * s) >> n) & mask
+        rv = ((vf - vq * s) >> n) & mask
+        if not ru & 1:
+            uf, uq, ru, vf, vq, rv = vf, vq, rv, uf, uq, ru
+        c = (-rv if ru == 1 else -rv * _inverse(ru, k)) & mask
+        # max(|f|, |q|) and |f| | |q| have the same bit length.
+        sh = ((uf if uf >= 0 else -uf) | (uq if uq >= 0 else -uq)).bit_length() - (
+            (vf if vf >= 0 else -vf) | (vq if vq >= 0 else -vq)
+        ).bit_length()
+    else:
+        c, sh = s, 0
+    r0, t0, r1, t1 = 1 << k, 0, c, 1
+    if k > 1500:
+        long_bits = max((k - sh) // 2 + 70, 1500)
+        while r1.bit_length() > long_bits:
+            h = r0.bit_length() - 62
+            x, y = r0 >> h, r1 >> h
+            a, b, c, d = 1, 0, 0, 1
+            while y + c and y + d:
+                q = (x + a) // (y + c)
+                if q != (x + b) // (y + d):
+                    break
+                a, b, c, d, x, y = c, d, a - q * c, b - q * d, y, x - q * y
+            if b:
+                r0, t0, r1, t1 = a * r0 + b * r1, a * t0 + b * t1, c * r0 + d * r1, c * t0 + d * t1
+            else:
+                # No quotient fits in the leading bits: one schoolbook step.
+                q = r0 // r1
+                r0, t0, r1, t1 = r1, t1, r0 - q * r1, t0 - q * t1
+    if sh > 0:
+        r0, r1 = r0 << sh, r1 << sh
+    elif sh:
+        t0, t1 = t0 << -sh, t1 << -sh
     while r1 > abs(t1):
-        k = r0 // r1
-        r0, t0, r1, t1 = r1, t1, r0 - k * r1, t0 - k * t1
-    return _checked_rows(n, r0, t0, r1, t1)
+        q = r0 // r1
+        r0, t0, r1, t1 = r1, t1, r0 - q * r1, t0 - q * t1
+    _checked_rows(n + k, k + abs(sh), r0, t0, r1, t1)
+    if sh > 0:
+        r0, r1 = r0 >> sh, r1 >> sh
+    elif sh:
+        t0, t1 = t0 >> -sh, t1 >> -sh
+    return _sup_gauss(r0 * uf + t0 * vf, r0 * uq + t0 * vq, r1 * uf + t1 * vf, r1 * uq + t1 * vq)
 
 
-def _checked_rows(n: int, r0: int, t0: int, r1: int, t1: int) -> tuple[int, int, int, int]:
-    # Recheck the stopping rows on every call; a failure here is a bug.
-    if not (r0 > abs(t0) and r1 <= abs(t1) and abs(r0 * t1 - r1 * t0) == 1 << n):
+def _inverse(r: int, k: int) -> int:
+    """r^-1 mod 2^k for odd r by Newton's iteration x <- x*(2 - r*x), which
+    doubles the number of correct low bits (Brent & Zimmermann, Modern
+    Computer Arithmetic, 2010), from x = 3r XOR 2, right in the low five
+    bits (Montgomery's seed: r*(3r XOR 2) = 1 mod 32 for odd r).
+    pow(r, -1, 2^k) runs an extended Euclid instead."""
+    x, bits = (3 * r ^ 2) & 31, 5
+    while bits < k:
+        bits <<= 1
+        m = (1 << bits) - 1
+        x = x * (2 - (r & m) * x) & m
+    return x & ((1 << k) - 1)
+
+
+def _checked_rows(n: int, e: int, r0: int, t0: int, r1: int, t1: int) -> None:
+    # Recheck the stopping rows of the jump to length n, whose determinant
+    # is 2^e as scaled, on every call; a failure here is a bug.
+    if not (r0 > abs(t0) and r1 <= abs(t1) and abs(r0 * t1 - r1 * t0) == 1 << e):
         raise AssertionError(f"Euclid rows off the stopping row at N = {n}")
-    return r0, t0, r1, t1
 
 
 def _sup_gauss(uf: int, uq: int, vf: int, vq: int) -> tuple[int, int, int, int]:
-    """Sup-norm Gauss reduction of the two Euclid stopping rows: returns a
-    basis u, v of the same lattice with |u| <= |v| <= |v + k*u| for every
+    """Sup-norm Gauss reduction (Kaib & Schnorr) of a lattice basis: returns
+    a basis u, v of the same lattice with |u| <= |v| <= |v + k*u| for every
     integer k.
 
-    After ordering the rows so |u| <= |v|, one step replaces v by the best
+    Each step orders the basis so |u| <= |v| and replaces v by the best
     v - k*u. x -> |v - x*u| is convex and piecewise linear with its kinks at
     vf/uf, vq/uq, (vf - vq)/(uf - uq) and (vf + vq)/(uf + uq), so its least
     value over the integers is at floor or floor + 1 of one of them; ties go
-    to the least |vq - k*uq|. One step suffices on these rows: r0 > r1 >= 0
-    and t0, t1 differ in sign (or t0 = 0), so no v - k*u is shorter than u
-    and Gauss's algorithm would stop after it. The result is rechecked with
-    _sup_reduced. This is the closed form of adic_profile's step-at-a-time
-    walk, which would take about 2^47 steps on the Euclid rows of S = 2^14
-    at N = 75.
+    to the least |vq - k*uq|, compared as two integers, not as a tuple key.
+    After a step |v| <= |v + k*u| for every k, so the basis is reduced
+    unless v came out shorter than u, and the next step swaps them. |u|
+    falls with every further step, so the loop ends. _sup_reduced rechecks
+    after every step. This is the closed form of _steps' walk one multiple
+    of u at a time, which would take about 2^47 steps on the Euclid rows of
+    S = 2^14 at N = 75.
     """
-    if max(abs(uf), abs(uq)) > max(abs(vf), abs(vq)):
-        uf, uq, vf, vq = vf, vq, uf, uq
-    best = None
-    for num, den in ((vf, uf), (vq, uq), (vf - vq, uf - uq), (vf + vq, uf + uq)):
-        if den:
-            t = num // den
-            for k in (t, t + 1):
-                wf, wq = vf - k * uf, vq - k * uq
-                key = (max(abs(wf), abs(wq)), abs(wq))
-                if best is None or key < best[0]:
-                    best = (key, wf, wq)
-    _, vf, vq = best
-    # Recheck the reduction on every call; a failure here is a bug.
-    if not _sup_reduced(uf, uq, vf, vq):
-        raise AssertionError("Euclid rows not sup-norm reduced in one step")
-    return uf, uq, vf, vq
+    while True:
+        nu = uf if uf >= 0 else -uf
+        t = uq if uq >= 0 else -uq
+        if t > nu:
+            nu = t
+        nv = vf if vf >= 0 else -vf
+        t = vq if vq >= 0 else -vq
+        if t > nv:
+            nv = t
+        if nu > nv:
+            uf, uq, vf, vq = vf, vq, uf, uq
+        best = -1
+        for num, den in ((vf, uf), (vq, uq), (vf - vq, uf - uq), (vf + vq, uf + uq)):
+            if den:
+                t = num // den
+                for k in (t, t + 1):
+                    wf, wq = vf - k * uf, vq - k * uq
+                    nw = wf if wf >= 0 else -wf
+                    aq = wq if wq >= 0 else -wq
+                    if aq > nw:
+                        nw = aq
+                    if best < 0 or nw < best or (nw == best and aq < best_q):
+                        best, best_q, bf, bq = nw, aq, wf, wq
+        vf, vq = bf, bq
+        if _sup_reduced(uf, uq, vf, vq):
+            return uf, uq, vf, vq
 
 
 def _sup_reduced(uf: int, uq: int, vf: int, vq: int) -> bool:
     """|u| <= |v| <= |v - u|, |v + u|; by convexity of k -> |v + k*u| this
     is |u| <= |v| <= |v + k*u| for every integer k."""
-    nu, nv = max(abs(uf), abs(uq)), max(abs(vf), abs(vq))
-    return nu <= nv <= min(max(abs(vf - uf), abs(vq - uq)), max(abs(vf + uf), abs(vq + uq)))
+    nu = uf if uf >= 0 else -uf
+    t = uq if uq >= 0 else -uq
+    if t > nu:
+        nu = t
+    nv = vf if vf >= 0 else -vf
+    t = vq if vq >= 0 else -vq
+    if t > nv:
+        nv = t
+    if nu > nv:
+        return False
+    for f, q in ((vf - uf, vq - uq), (vf + uf, vq + uq)):
+        if (f if f >= 0 else -f) < nv and (q if q >= 0 else -q) < nv:
+            return False
+    return True
 
 
 def _canonical_pair(uf: int, uq: int, vf: int, vq: int, n: int, s: int) -> ApproxPair:
     """The canonical pair at length n from a basis (u, v) of
-    {(f, q): f = q*S (mod 2^n)} returned by _sup_gauss: the least
+    {(f, q): f = q*S (mod 2^n)} reduced by _sup_gauss: the least
     (mu, q, |f|, f < 0) over the odd-q vectors among u, v, u + v and u - v,
-    each first turned to q > 0.
+    each first turned to q > 0. Only the last of _sup_gauss's steps, the
+    one after which _sup_reduced held, bears on the proof: it kept u and
+    gave v the least (|v|, |vq|) over its candidates v - k*u.
 
     Why the window holds it. Let h(x) = |v + x*u| for real x. As h(k) >= |v|
     at every integer k, h(x) >= |v| - d*|u| with d the distance from x to
@@ -218,10 +308,10 @@ def _canonical_pair(uf: int, uq: int, vf: int, vq: int, n: int, s: int) -> Appro
       h is piecewise linear with slopes +-uf, +-uq. If uf != 0 it is flat
       nowhere, so its least integer value is at one or two consecutive
       integers and k is in {-1, 0, 1}. If uf = 0 (the flats), every
-      v + k*u has |f| = |vf|, and the tie rule gave v the least
-      |q| = |vq + k*uq| over all k, as the integers nearest vq/uq are among
-      its candidates; another k with the same |q| has |k*uq| = 2|vq| <= |uq|,
-      so k = +-1.
+      v + k*u has |f| = |vf|, and the tie rule of the last Gauss step gave v
+      the least |q| = |vq + k*uq| over all k, as the integers nearest vq/uq
+      are among its candidates; another k with the same |q| has
+      |k*uq| = 2|vq| <= |uq|, so k = +-1.
     The argument is needed: minimisers outside the window do occur (114 of
     the 8,190 cases (S, N) with N <= 12), but never the canonical one.
     """
@@ -236,46 +326,62 @@ def _canonical_pair(uf: int, uq: int, vf: int, vq: int, n: int, s: int) -> Appro
     return _checked_pair(best[1], best[2], n, s)
 
 
-def _min_pair(s: int, n: int) -> ApproxPair:
-    # The Euclid rows (r, t) all satisfy r = t*S (mod 2^n), and the two
-    # stopping rows span the lattice.
-    return _canonical_pair(*_sup_gauss(*_euclid_rows(s, n)), n, s)
-
-
 def adic_min(w: Word, n: int) -> ApproxPair:
-    """Exact aperiodic minimum for the length-n prefix of w."""
+    """Exact aperiodic minimum for the length-n prefix of w: one jump from
+    the empty basis, then the four-vector readout."""
     if not 1 <= n <= len(w):
         raise ValueError(f"need 1 <= n <= {len(w)}, got {n}")
-    return _min_pair(prefix_value(w, n), n)
+    s = prefix_value(w, n)
+    return _canonical_pair(*_jump(s, 0, n, 1, 0, 0, 1), n, s)
 
 
-def _check_lengths(w: Word, ns: Sequence[int]) -> None:
-    """Raise ValueError unless ns is strictly increasing within [1, len(w)]."""
-    if any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ValueError("prefix lengths must be strictly increasing")
-    if ns and not 1 <= ns[0] <= ns[-1] <= len(w):
+def _check_lengths(w: Word, ns: Sequence[int]) -> list[tuple[int, int]]:
+    """The maximal runs a..b of consecutive lengths in ns, in order. Raise
+    ValueError unless ns is strictly increasing within [1, len(w)].
+
+    The pass that splits the runs tests the order, so only the end points
+    need the range test; a range of step 1 is one run and takes no pass."""
+    runs = []
+    if isinstance(ns, range) and ns.step == 1:
+        if ns:
+            runs.append((ns.start, ns.stop - 1))
+    elif ns:
+        a = prev = ns[0]
+        for n in ns[1:]:
+            if n <= prev:
+                raise ValueError("prefix lengths must be strictly increasing")
+            if n != prev + 1:
+                runs.append((a, prev))
+                a = n
+            prev = n
+        runs.append((a, prev))
+    if runs and not 1 <= runs[0][0] <= runs[-1][1] <= len(w):
         raise ValueError(f"prefix lengths must lie in [1, {len(w)}]")
+    return runs
 
 
-def adic_minima(w: Word, ns: list[int]) -> list[ApproxPair]:
+def adic_minima(w: Word, ns: Sequence[int]) -> list[ApproxPair]:
     """Minimizing pairs at several prefix lengths; ns must be strictly
-    increasing.
+    increasing within [1, len(w)] (ValueError otherwise).
 
     S is read once at the largest length and masked for each point. Each
-    point runs its own extended Euclid on (2^n, S), still quadratic in n
-    whatever the other points are (a Lehmer round passes over the long
-    rows once for about 16 quotients of a random S: 3x faster than one
-    division per quotient at n = 10^4, 13x at 3*10^5), then one sup-norm
-    reduction and a four-vector readout, which suits sparse grids such as
-    a scan's. Dense ns repeat the Euclid at every length; where only mu is
-    wanted, adic_profile and the claim checkers carry one basis bit by bit
-    through each run of consecutive lengths instead.
+    point is a _jump from the basis at the point before (from the empty
+    basis at the first), so its Euclid is quadratic in the gap from that
+    point, not in n, then a four-vector readout. Where only mu is wanted,
+    adic_mu carries the basis bit by bit through each run of consecutive
+    lengths instead.
     """
     _check_lengths(w, ns)
-    if not ns:
-        return []
-    s = prefix_value(w, ns[-1])
-    return [_min_pair(s & ((1 << n) - 1), n) for n in ns]
+    pairs: list[ApproxPair] = []
+    m, basis = 0, (1, 0, 0, 1)
+    if ns:
+        s = prefix_value(w, ns[-1])
+        for n in ns:
+            sn = s & ((1 << n) - 1)
+            basis = _jump(sn, m, n - m, *basis)
+            pairs.append(_canonical_pair(*basis, n, sn))
+            m = n
+    return pairs
 
 
 def adic_profile(w: Word) -> Profile:
@@ -289,43 +395,31 @@ def adic_mu(w: Word, ns: Sequence[int]) -> list[int]:
     [1, len(w)] (ValueError otherwise).
 
     Each maximal run a..b of consecutive lengths costs one jump and b - a
-    steps. The jump to a is _euclid_rows plus _sup_gauss (rechecked by
-    _checked_rows and _sup_reduced); the steps, _steps, start from it with
+    steps. The jump to a, _jump, starts from the basis at the previous
+    run's end n, or from the empty basis (1, 0), (0, 1) at n = 0 for the
+    first run, so its Euclid is a - n bits long; it is rechecked by
+    _checked_rows and _sup_reduced. The steps, _steps, start from it with
     the exact residues r = (f - q*S)/2^a of both vectors, which a single
-    length (a = b) neither takes nor needs. A run from 1 starts instead
-    from the basis (1, 0), (0, 1) of the empty word, with residues 1 and 0.
-    The basis at b is rechecked by _check_profile_basis. So a run of k
-    lengths costs one Euclid and k - 1 steps where adic_minima would run k
-    Euclids and k readouts.
+    length (a = b) neither takes nor needs. A run from 1 takes no jump: its
+    steps start from the empty basis, with residues 1 and 0. The basis at b
+    is rechecked by _check_profile_basis.
     """
-    _check_lengths(w, ns)
     values: list[int] = []
-    if not ns:
-        return values
-    if ns[-1] - ns[0] == len(ns) - 1:
-        runs = [(ns[0], ns[-1])]
-    else:
-        runs = []
-        a = prev = ns[0]
-        for n in ns[1:]:
-            if n != prev + 1:
-                runs.append((a, prev))
-                a = n
-            prev = n
-        runs.append((a, prev))
-    s = prefix_value(w, ns[-1])
+    runs = _check_lengths(w, ns)
+    if runs:
+        s = prefix_value(w, runs[-1][1])
+    n, uf, uq, vf, vq = 0, 1, 0, 0, 1
     for a, b in runs:
-        if a == 1:
-            # The steps read mu from length 1 on.
-            uf, uq, vf, vq = _steps(w.bits[:b], 1, 0, 1, 0, 1, 0, values)
-        else:
-            sa = s & ((1 << a) - 1)
-            uf, uq, vf, vq = _sup_gauss(*_euclid_rows(sa, a))
+        if a > 1:
+            uf, uq, vf, vq = _jump(s & ((1 << a) - 1), n, a - n, uf, uq, vf, vq)
             values.append(max(abs(uf), abs(uq)) if uq & 1 else max(abs(vf), abs(vq)))
-            if b > a:
-                ru, rv = (uf - uq * sa) >> a, (vf - vq * sa) >> a
-                uf, uq, vf, vq = _steps(w.bits[a:b], uf, uq, ru, vf, vq, rv, values)
+            n = a
+        if b > n:
+            sn = s & ((1 << n) - 1)
+            ru, rv = (uf - uq * sn) >> n, (vf - vq * sn) >> n
+            uf, uq, vf, vq = _steps(w.bits[n:b], uf, uq, ru, vf, vq, rv, values)
         _check_profile_basis(s & ((1 << b) - 1), b, uf, uq, vf, vq)
+        n = b
     return values
 
 

@@ -23,11 +23,11 @@ from .generators import PolySpec, SeqSpec
 from .seqcore import reverse_period, write_bits
 
 # Cost caps, checked before any work starts; the library itself is uncapped.
-# A scan runs one Euclid and one minimum per grid point, each quadratic in
-# N: at N = 10^6 the top point takes 3.4 to 4.5 s, the default grid (100
-# points) 7 to 10 s, and 400 points (ratio about 1.03 at 10^6) about 75 s
-# (2-core container), so one run stays within minutes. generate builds
-# words of the same lengths.
+# A scan jumps from grid point to grid point, each jump a Euclid on the bits
+# since the point before, quadratic in that gap: at N = 10^6 the default grid
+# (100 points) takes about 3 s and 400 points (ratio about 1.03 at 10^6)
+# about 14 s (2-core container), so one run stays within minutes. generate
+# builds words of the same lengths.
 MAX_BITS = 1_000_000
 MAX_GRID_POINTS = 400
 # analyze prints mu, an integer of about N/2 bits, on each of its N rows, so

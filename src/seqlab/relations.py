@@ -116,7 +116,9 @@ def verify_cor1(w: Word, instance: str | None = None) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # periodic relations
 
-# Stabilization checks need adic_min out to N = 2T + 3.
+# verify_lemma1 refuses periods longer than this. Each period reads mu at
+# N = 2T, ..., 2T + 3 as one run of adic.adic_mu: one jump from length 0
+# and three steps.
 LEMMA1_T_BOUND = 64
 
 
@@ -149,7 +151,7 @@ def verify_lemma1(s: PeriodicSequence, instance: str | None = None) -> Verificat
 
 def _lemma1_mus(s: PeriodicSequence) -> tuple[int, list[int]]:
     """q and mu at N = 2T, ..., 2T + 3 of a normalized s. The four lengths
-    are one run: one Euclid and three steps."""
+    are one run: one jump from length 0 and three steps."""
     n = 2 * s.T
     return adic.connection(s).q, adic.adic_mu(s.prefix(n + 3), [n, n + 1, n + 2, n + 3])
 

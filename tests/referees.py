@@ -104,6 +104,41 @@ def euclid_rows(s: int, n: int) -> tuple[int, int, int, int]:
     return r0, t0, r1, t1
 
 
+def sup_gauss_once(uf: int, uq: int, vf: int, vq: int) -> tuple[int, int, int, int]:
+    """One sup-norm Gauss step on the two Euclid stopping rows of
+    euclid_rows: order the rows so |u| <= |v|, then replace v by the best
+    v - k*u over floor and floor + 1 of the four kinks vf/uf, vq/uq,
+    (vf - vq)/(uf - uq) and (vf + vq)/(uf + uq) of x -> |v - x*u|, ties to
+    the least |vq - k*uq|. On these rows one step leaves the basis reduced,
+    which is asserted."""
+    if sup_norm(uf, uq) > sup_norm(vf, vq):
+        uf, uq, vf, vq = vf, vq, uf, uq
+    best = None
+    for num, den in ((vf, uf), (vq, uq), (vf - vq, uf - uq), (vf + vq, uf + uq)):
+        if den:
+            t = num // den
+            for k in (t, t + 1):
+                wf, wq = vf - k * uf, vq - k * uq
+                key = (sup_norm(wf, wq), abs(wq))
+                if best is None or key < best[0]:
+                    best = (key, wf, wq)
+    _, vf, vq = best
+    nv = sup_norm(vf, vq)
+    assert sup_norm(uf, uq) <= nv <= min(sup_norm(vf - uf, vq - uq), sup_norm(vf + uf, vq + uq))
+    return uf, uq, vf, vq
+
+
+def sup_norm(f: int, q: int) -> int:
+    return max(abs(f), abs(q))
+
+
+def per_length_basis(s: int, n: int) -> tuple[int, int, int, int]:
+    """The reduced basis at length n of {(f, q): f = q*S (mod 2^n)} by a
+    Euclid on (2^n, s) from nothing: the schoolbook rows and one Gauss
+    step."""
+    return sup_gauss_once(*euclid_rows(s, n))
+
+
 class Lattice:
     """Basis (u, v) of {(f, q): f = q*S (mod 2^n)}, kept Lagrange-reduced in
     the Euclidean norm, u the shorter vector; built at one length by

@@ -1,14 +1,22 @@
-"""2-adic machinery. adic_min and adic_minima (Euclid rows, one sup-norm
-reduction, a four-vector readout) against the exhaustive oracle and against
-the referee that Lagrange-reduces and enumerates; adic_profile's carried
-basis against the referee pushed bit by bit; periodic connections."""
+"""2-adic machinery. The jump from one length's reduced basis to a longer
+one's against the per-length referee (the schoolbook Euclid from nothing and
+one Gauss step); adic_min and adic_minima (jumps and a four-vector readout)
+against the exhaustive oracle and against the referee that Lagrange-reduces
+and enumerates; adic_profile's carried basis against the referee pushed bit
+by bit; periodic connections."""
 
 import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from referees import Lattice, adic_steps_both_signs, euclid_rows
+from referees import (
+    Lattice,
+    adic_steps_both_signs,
+    euclid_rows,
+    per_length_basis,
+    sup_norm,
+)
 
 import seqlab.adic as adic
 from seqlab.adic import (
@@ -24,7 +32,7 @@ from seqlab.adic import (
 )
 from seqlab.errors import OracleBoundExceeded
 from seqlab.generators import SeqSpec, fcsr_word, materialize, pattern_word
-from seqlab.relations import conjecture_scan
+from seqlab.relations import conjecture_scan, grid_points
 from seqlab.seqcore import (
     PeriodicSequence,
     RationalRep,
@@ -129,6 +137,10 @@ def referee_pair(s, n):
     return ApproxPair(*Lattice.euclid(s, n).minimize())
 
 
+def empty_jump(s, n):
+    return adic._jump(s, 0, n, 1, 0, 0, 1)
+
+
 def word_of(s, n):
     return Word(bytes((s >> i) & 1 for i in range(n)))
 
@@ -154,7 +166,7 @@ def test_euclid_matches_pushed_lattice_random_long():
         assert adic_minima(w, ns) == [ref[n - 1] for n in ns]
         for n in ns[-2:]:
             assert adic_min(w, n) == ref[n - 1]
-            uf, uq, vf, vq = adic._sup_gauss(*adic._euclid_rows(prefix_value(w, n), n))
+            uf, uq, vf, vq = empty_jump(prefix_value(w, n), n)
             assert adic._sup_reduced(uf, uq, vf, vq)
             assert abs(uf * vq - uq * vf) == 1 << n
 
@@ -189,28 +201,45 @@ def test_adic_min_flat_cases_match_oracle():
         for s in sorted({1 << (n - 1), *(h << t for h in highs)}):
             w = word_of(s, n)
             assert adic_min(w, n) == adic_oracle(w, n), (s, n)
-            uf, uq, vf, vq = adic._sup_gauss(*adic._euclid_rows(s, n))
+            uf, uq, vf, vq = empty_jump(s, n)
             h = [max(abs(vf + k * uf), abs(vq + k * uq)) for k in (-1, 0, 1)]
             flats += uf == 0 and h[0] == h[1] == h[2]
     assert flats > 100
 
 
-def test_euclid_rows_match_schoolbook_exhaustive():
+@pytest.fixture
+def jump_rows(monkeypatch):
+    """Jump from the empty basis to (s, n); returns the Euclid stopping rows
+    _checked_rows saw (unscaled there, as sh = 0) and the jumped basis."""
+    rows = []
+    real = adic._checked_rows
+    monkeypatch.setattr(adic, "_checked_rows", lambda n, e, *r: rows.append(r) or real(n, e, *r))
+
+    def run(s, n):
+        basis = empty_jump(s, n)
+        return rows.pop(), basis
+
+    return run
+
+
+def test_euclid_rows_match_schoolbook_exhaustive(jump_rows):
+    # From the empty basis the jump is the Euclid on (2^n, S) stopped at
+    # r <= |t| and one Gauss step: the per-length referee exactly.
     for n in range(1, 13):
         for s in range(1 << n):
-            assert adic._euclid_rows(s, n) == euclid_rows(s, n), (s, n)
+            assert jump_rows(s, n) == (euclid_rows(s, n), per_length_basis(s, n)), (s, n)
 
 
-def test_euclid_rows_match_schoolbook_random_long():
+def test_euclid_rows_match_schoolbook_random_long(jump_rows):
     # Lehmer rounds run while r1 is longer than max(n//2 + 70, 1500) bits.
     rng = random.Random(38)
     for _ in range(1000):
         n = rng.randrange(1, 3000)
         s = rng.getrandbits(n)
-        assert adic._euclid_rows(s, n) == euclid_rows(s, n), (s, n)
+        assert jump_rows(s, n) == (euclid_rows(s, n), per_length_basis(s, n)), (s, n)
 
 
-def test_euclid_rows_match_schoolbook_edge_words():
+def test_euclid_rows_match_schoolbook_edge_words(jump_rows):
     # Around both handoffs to the schoolbook loop: n//2 + 70 (n near 130 to
     # 260 and 2860) and the 1500-bit floor. Large and failed quotients
     # take the single-step path.
@@ -219,20 +248,20 @@ def test_euclid_rows_match_schoolbook_edge_words():
         alt = full // 3
         for s in (0, 1, 1 << (n - 1), full, alt, alt << 1, full - (1 << (n // 2))):
             s &= full
-            assert adic._euclid_rows(s, n) == euclid_rows(s, n), (s, n)
+            assert jump_rows(s, n) == (euclid_rows(s, n), per_length_basis(s, n)), (s, n)
 
 
-def test_euclid_rows_match_schoolbook_pattern_words():
+def test_euclid_rows_match_schoolbook_pattern_words(jump_rows):
     for k in (1, 2):
         s = prefix_value(pattern_word(k, 10007), 10007)
         for n in (9973, 10000, 10007):
             part = s & ((1 << n) - 1)
-            assert adic._euclid_rows(part, n) == euclid_rows(part, n), (k, n)
+            assert jump_rows(part, n) == (euclid_rows(part, n), per_length_basis(part, n)), (k, n)
 
 
 def test_euclid_row_guard(monkeypatch):
-    # The stopping-row recheck refuses rows one step early or late, and runs
-    # on every call.
+    # The stopping-row recheck refuses rows one step early or late and a
+    # determinant off by a factor 2, and runs on every jump.
     n, s = 20, 12345
     rows = [(1 << n, 0), (s, 1)]
     while rows[-1][0]:
@@ -240,15 +269,137 @@ def test_euclid_row_guard(monkeypatch):
         k = r0 // r1
         rows.append((r0 - k * r1, t0 - k * t1))
     i = rows.index(euclid_rows(s, n)[2:])
-    assert adic._checked_rows(n, *rows[i - 1], *rows[i]) == euclid_rows(s, n)
+    adic._checked_rows(n, n, *rows[i - 1], *rows[i])
     for j in (i - 1, i + 1):
         with pytest.raises(AssertionError):
-            adic._checked_rows(n, *rows[j - 1], *rows[j])
+            adic._checked_rows(n, n, *rows[j - 1], *rows[j])
+    with pytest.raises(AssertionError):
+        adic._checked_rows(n, n + 1, *rows[i - 1], *rows[i])
     calls = []
     real = adic._checked_rows
     monkeypatch.setattr(adic, "_checked_rows", lambda *args: calls.append(args[0]) or real(*args))
     adic_minima(Word.from01("0100110101110001"), [3, 9, 16])
     assert calls == [3, 9, 16]
+
+
+def norms(basis):
+    return sup_norm(*basis[:2]), sup_norm(*basis[2:])
+
+
+def test_jump_matches_per_length_referee_every_pair_to_12():
+    # Every word up to 12 bits, from the referee's basis at every shorter
+    # length a (the empty basis at a = 0) to the word's length b: the same
+    # successive minima and the same canonical pair as the referee at b,
+    # and from a = 0 the referee's basis itself.
+    ref = {(0, 0): (1, 0, 0, 1)}
+    for n in range(1, 13):
+        for s in range(1 << n):
+            ref[s, n] = per_length_basis(s, n)
+    for b in range(1, 13):
+        for s in range(1 << b):
+            want = ref[s, b]
+            pair, sizes = adic._canonical_pair(*want, b, s), norms(want)
+            assert empty_jump(s, b) == want, (s, b)
+            for a in range(1, b):
+                got = adic._jump(s, a, b - a, *ref[s & ((1 << a) - 1), a])
+                assert norms(got) == sizes, (s, a, b)
+                assert adic._canonical_pair(*got, b, s) == pair, (s, a, b)
+
+
+def record_jumps(monkeypatch):
+    """Make every adic._jump from a nonempty basis record its orientation
+    (whether u has the odd residue), the sign of sh, recomputed from its
+    arguments, and whether it is longer than 1500 bits; returns the set of
+    them. As |u| <= |v|, sh <= 0 when u has the odd residue, and sh >= 0
+    otherwise."""
+    seen = set()
+    real = adic._jump
+
+    def jump(s, n, k, uf, uq, vf, vq):
+        if n:
+            ru = ((uf - uq * s) >> n) & ((1 << k) - 1)
+            o, e = ((uf, uq), (vf, vq)) if ru & 1 else ((vf, vq), (uf, uq))
+            sh = sup_norm(*o).bit_length() - sup_norm(*e).bit_length()
+            seen.add((ru & 1, (sh > 0) - (sh < 0), k > 1500))
+        return real(s, n, k, uf, uq, vf, vq)
+
+    monkeypatch.setattr(adic, "_jump", jump)
+    return seen
+
+
+def test_jump_matches_per_length_referee_random_grids(monkeypatch):
+    # Seeded random, sparse and cosparse words up to 3000 bits on random
+    # grids: both orientations, sh of both signs, and jumps of more than
+    # 1500 bits, which take Lehmer rounds, from a nonempty basis.
+    seen = record_jumps(monkeypatch)
+    rng = random.Random(44)
+    for i in range(300):
+        n = rng.randrange(2, 3001)
+        sparse = 0
+        for _ in range(rng.randrange(1, 6)):
+            sparse |= 1 << rng.randrange(n)
+        s = (rng.getrandbits(n), sparse, ((1 << n) - 1) ^ sparse)[i % 3]
+        ns = sorted(rng.sample(range(1, n + 1), min(n, rng.randrange(2, 5))))
+        for m, got in zip(ns, adic_minima(word_of(s, n), ns)):
+            part = s & ((1 << m) - 1)
+            assert got == adic._canonical_pair(*per_length_basis(part, m), m, part), (i, m)
+    assert seen >= {(1, -1, False), (0, 1, False), (1, -1, True), (0, 1, True)}
+
+
+def test_jump_gauss_steps_at_most_two_on_scan_grids(monkeypatch):
+    # The stop of the jump's Euclid does not bear on exactness, as any two
+    # consecutive rows span the lattice, so a wrong sh would pass every
+    # value test; it shows as more Gauss steps. _sup_gauss rechecks with
+    # _sup_reduced after each step, so those calls count the steps.
+    steps, inside = [], [False]
+    gauss, reduced = adic._sup_gauss, adic._sup_reduced
+
+    def counting_gauss(*basis):
+        steps.append(0)
+        inside[0] = True
+        try:
+            return gauss(*basis)
+        finally:
+            inside[0] = False
+
+    def counting_reduced(*basis):
+        if inside[0]:
+            steps[-1] += 1
+        return reduced(*basis)
+
+    monkeypatch.setattr(adic, "_sup_gauss", counting_gauss)
+    monkeypatch.setattr(adic, "_sup_reduced", counting_reduced)
+    grid = grid_points(20000)
+    for family in ("thue-morse", "rudin-shapiro", "zero"):
+        w = materialize(SeqSpec(family), 20000)
+        adic.adic_mu(w, grid)
+        adic_minima(w, grid)
+    assert len(steps) > 200 and min(steps) >= 1
+    assert max(steps) <= 2, max(steps)
+
+
+def test_newton_inverse_matches_pow():
+    rng = random.Random(45)
+    cases = [(r, k) for k in range(1, 12) for r in range(1, 1 << k, 2)]
+    cases += [(rng.getrandbits(k) | 1, k) for k in (rng.randrange(12, 3000) for _ in range(500))]
+    for r, k in cases:
+        assert adic._inverse(r, k) == pow(r, -1, 1 << k), (r, k)
+
+
+def test_adic_minima_sparse_grids_match_oracle_and_referee():
+    # adic_minima jumps from point to point and adic_min from length 0: both
+    # against the oracle, the Lagrange referee and the per-length referee.
+    rng = random.Random(46)
+    for _ in range(150):
+        w = random_word(rng, rng.randrange(1, 13))
+        ns = sorted(rng.sample(range(1, len(w) + 1), rng.randrange(1, min(len(w), 4) + 1)))
+        pairs = adic_minima(w, ns)
+        assert pairs == [adic_min(w, n) for n in ns], (w.to01(), ns)
+        assert pairs == [adic_oracle(w, n) for n in ns], (w.to01(), ns)
+        assert pairs == [referee_pair(prefix_value(w, n), n) for n in ns], (w.to01(), ns)
+        for n, pair in zip(ns, pairs):
+            s = prefix_value(w, n)
+            assert pair == adic._canonical_pair(*per_length_basis(s, n), n, s), (w.to01(), n)
 
 
 def test_single_lengths_do_not_push(monkeypatch):
@@ -394,6 +545,36 @@ def test_adic_mu_is_public_and_checks_its_lengths():
     for bad in ([1, 3, 2], [4, 4], [0, 1], [3, 11]):
         with pytest.raises(ValueError):
             adic.adic_mu(w, bad)
+
+
+def test_check_lengths_splits_runs_in_one_pass():
+    # The order test rides on the pass that splits the runs, and a range of
+    # step 1 takes no pass; the messages, and which fault a list with both
+    # reports, are those of a check of every pair before the range.
+    w = Word.from01("0100110101")
+    assert adic._check_lengths(w, []) == adic._check_lengths(w, range(3, 3)) == []
+    assert adic._check_lengths(w, [1, 2, 3, 5, 6, 9]) == [(1, 3), (5, 6), (9, 9)]
+    assert adic._check_lengths(w, range(1, 11)) == [(1, 10)]
+    assert adic._check_lengths(w, range(2, 11, 4)) == [(2, 2), (6, 6), (10, 10)]
+    increasing = "prefix lengths must be strictly increasing"
+    in_range = "prefix lengths must lie in [1, 10]"
+    for bad, message in (
+        ([4, 4], increasing),
+        ([1, 3, 2], increasing),
+        ([7, 3], increasing),
+        ([0, 0], increasing),
+        ([3, 11, 11], increasing),
+        (range(5, 0, -1), increasing),
+        ([0, 1], in_range),
+        ([3, 11], in_range),
+        ([11], in_range),
+        (range(0, 4), in_range),
+        (range(8, 12), in_range),
+    ):
+        for read in (adic.adic_mu, adic_minima):
+            with pytest.raises(ValueError) as raised:
+                read(w, bad)
+            assert str(raised.value) == message, (bad, read)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
