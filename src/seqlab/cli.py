@@ -44,9 +44,10 @@ MAX_ANALYZE_BITS = 32_000
 # the connections of the period and its reversal, 10 to 12 s in the
 # polynomial gcd for L and 3.5 s printing A and q in decimal. A period
 # whose 60-bit windows tie still grows the automaton over its first T + M
-# bits (at most 2T - 1) after the two sorts: 0^(T-1)1 at T = 10^6 takes
-# 6.2 s and 310 MB peak (median of three runs). The family's period bound
-# (p, ord_q(2), 2^r - 1) is checked before anything is built.
+# bits (at most 2T - 1), after the sort of its 30-bit windows and that of
+# the 60-bit windows of those that tie: 0^(T-1)1 at T = 10^6 (read from a
+# file) takes 4.7 s and 312 MB peak (median of three runs). The family's
+# period bound (p, ord_q(2), 2^r - 1) is checked before anything is built.
 MAX_PERIOD = 1_000_000
 
 # ---------------------------------------------------------------------------

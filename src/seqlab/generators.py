@@ -176,8 +176,23 @@ def zeckendorf_bit(n: int) -> int:
     return len(zeckendorf_digits(n)) & 1
 
 
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
+
+
 def zeckendorf_word(n: int) -> Word:
-    return Word(bytes(zeckendorf_bit(i) for i in range(n)))
+    """First n bits of zeckendorf_bit, built by Fibonacci lengths.
+
+    For F_k <= i < F_(k+1) the greedy expansion of i takes F_k and then
+    expands i - F_k < F_(k-1) (never F_(k-1), which would give i >= F_(k+1)),
+    so bit i is the complement of bit i - F_k. The first F_(k+1) bits are
+    therefore the first F_k bits followed by the complement of the first
+    F_(k-1): W(F_(k+1)) = W(F_k) + complement(W(F_(k-1))), from W(1) = 0 and
+    W(2) = 01.
+    """
+    prev, cur = b"\0", b"\0\1"
+    while len(cur) < n:
+        prev, cur = cur, cur + prev.translate(_FLIP)
+    return Word(cur[: max(n, 0)])
 
 
 # legendre_word marks the squares mod p in a p-byte table when p is at most
@@ -269,19 +284,40 @@ def _check_fcsr_args(a: int, q: int) -> None:
 def lfsr_word(taps: tuple[int, ...], seed: tuple[int, ...], n: int) -> Word:
     """Linear-feedback sequence s_{i+r} = XOR of s_{i+t} over t in taps.
 
-    r is the seed length; taps are positions in [0, r). The first r output
-    bits are the seed itself.
+    r is the seed length; taps are positions in [0, r), any set of them
+    (empty taps give zeros after the seed). The first r output bits are the
+    seed itself. The rest come in blocks from the recurrence squared j
+    times, s_(i + 2^j r) = XOR of s_(i + 2^j t), one XOR of slices each
+    (_register_extend).
     """
     _check_lfsr_args(taps, seed)
-    state = list(seed)
-    out = bytearray()
-    for _ in range(n):
-        out.append(state[0])
-        nxt = 0
+    bits = bytearray(seed)
+    _register_extend(bits, taps, len(seed), n)
+    return Word(bytes(bits[: max(n, 0)]))
+
+
+def _register_extend(bits: bytearray, taps: tuple[int, ...], r: int, n: int) -> None:
+    """Extend the register output bits (at least its r seed bits) to n bits.
+
+    Over GF(2) the square of a polynomial doubles every exponent, so the
+    recurrence polynomial x^r + sum x^t raised to 2^j gives
+    s_(i + 2^j r) = XOR of s_(i + 2^j t) over t in taps, for every i >= 0.
+    With L >= 2^j r bits known, bit L + d for d < 2^j (r - max taps) reads
+    only bits below L, so that whole block is one XOR of len(taps) slices
+    (the 0/1 bytes read as integers, which XOR bytewise). Each block takes
+    the largest such 2^j, so it is at least L / 2r bits long.
+    """
+    step = 1
+    while (size := len(bits)) < n:
+        while 2 * step * r <= size:
+            step *= 2
+        block = min(step * (r - max(taps, default=0)), n - size)
+        base = size - step * r
+        acc = 0
         for t in taps:
-            nxt ^= state[t]
-        state = state[1:] + [nxt]
-    return Word(bytes(out))
+            start = base + step * t
+            acc ^= int.from_bytes(bits[start : start + block], "little")
+        bits += acc.to_bytes(block, "little")
 
 
 def _check_lfsr_args(taps: tuple[int, ...], seed: tuple[int, ...]) -> None:
@@ -301,28 +337,23 @@ def _check_lfsr_args(taps: tuple[int, ...], seed: tuple[int, ...]) -> None:
 def lfsr_period(taps: tuple[int, ...], seed: tuple[int, ...]) -> PeriodicSequence:
     """One least period of the register output, found from the state cycle.
 
-    Requires tap 0 so the state map is a bijection and the cycle returns to
-    the seed. The state at step i is the next r output bits, so the output
-    period equals the state period exactly.
+    Requires tap 0, so the state map is a bijection and the state cycle
+    returns to the seed. The state at step i is the window of r output
+    bits at i, so the output period equals the state period: the least
+    d >= 1 with the seed window at d, bits.find(bits[:r], 1). It is looked
+    for in a prefix that doubles from 2r bits up to 2^r - 1 + r, which
+    holds the longest cycle's return, so a short cycle costs a short
+    prefix.
     """
     if 0 not in taps:
         raise InvalidParameter("tap 0 is required for a pure state cycle")
     _check_lfsr_args(taps, seed)
     r = len(seed)
-    state = tuple(seed)
-    out = bytearray()
-    steps = 0
-    while True:
-        out.append(state[0])
-        nxt = 0
-        for t in taps:
-            nxt ^= state[t]
-        state = state[1:] + (nxt,)
-        steps += 1
-        if state == tuple(seed):
-            break
-        assert steps < 1 << r, "state cycle missed the seed"
-    return PeriodicSequence(Word(bytes(out)), least=True)
+    bits = bytearray(seed)
+    while (period := bits.find(bits[:r], 1)) < 0:
+        assert len(bits) < (1 << r) - 1 + r, "state cycle missed the seed"
+        _register_extend(bits, taps, r, min(2 * len(bits), (1 << r) - 1 + r))
+    return PeriodicSequence(Word(bytes(bits[:period])), least=True)
 
 
 def _file_prefix(path: str, n: int) -> Word:
@@ -337,7 +368,7 @@ class _FamilyFields(NamedTuple):
     defaults: dict
     check: Callable[..., None] | None
     bit: Callable[..., Callable[[int], int]] | None
-    prefix: Callable[..., Word] | None
+    prefix: Callable[..., Word]
     period: Callable[..., PeriodicSequence] | None
     period_bound: Callable[..., int] | None
 
@@ -348,13 +379,13 @@ class Family(_FamilyFields):
     keys maps each parameter to the kind of its value (see _KINDS); every
     key is required but those given in defaults. The callables take the
     parameters as keyword arguments, defaults filled in. check validates
-    them, once, when a SeqSpec is built. prefix(n, ...) gives the first n
-    bits. An indexed family gives bit(...), its bit as a function of the
-    index, and only indexed families take @poly=; one that also gives
-    prefix builds its plain words with it and takes bit only along a
-    polynomial. period(...) is one least period, for families that have
-    one, and period_bound(...) an upper bound on its length, found without
-    building it.
+    them, once, when a SeqSpec is built. Every row gives prefix(n, ...),
+    the first n bits, which builds every plain word. An indexed family
+    also gives bit(...), its bit as a function of the index, used only
+    along the polynomial of @poly=, which only indexed families take.
+    period(...) is one least period, for families that have one, and
+    period_bound(...) an upper bound on its length, found without building
+    it.
     """
 
     __slots__ = ()
@@ -371,6 +402,7 @@ class Family(_FamilyFields):
 def _constant(b: int) -> Family:
     return Family(
         bit=lambda: lambda m: b,
+        prefix=lambda n: Word(bytes((b,)) * n),
         period=lambda: PeriodicSequence(Word([b]), least=True),
         period_bound=lambda: 1,
     )
@@ -395,7 +427,7 @@ FAMILIES = {
         bit=lambda: functools.partial(pattern_bit, 2),
         prefix=lambda n: pattern_word(2, n),
     ),
-    "zeckendorf": Family(bit=lambda: zeckendorf_bit),
+    "zeckendorf": Family(bit=lambda: zeckendorf_bit, prefix=zeckendorf_word),
     "legendre": Family(
         {"p": "int", "f": "poly"},
         {"f": IDENTITY},
@@ -508,12 +540,9 @@ def materialize(spec: SeqSpec, n: int) -> Word:
     if n < 0:
         raise InvalidParameter(f"need n >= 0, got {n}")
     fam = FAMILIES[spec.family]
-    if spec.poly is None and fam.prefix is not None:
-        return fam.prefix(n, **spec._values())
-    bit = fam.bit(**spec._values())
     if spec.poly is None:
-        return Word(bytes(map(bit, range(n))))
-    return along_polynomial(bit, spec.poly, n)
+        return fam.prefix(n, **spec._values())
+    return along_polynomial(fam.bit(**spec._values()), spec.poly, n)
 
 
 def period_bound(spec: SeqSpec) -> int:

@@ -9,8 +9,8 @@ number-theoretic shortcuts for carry-register sequences."""
 from __future__ import annotations
 
 import math
-from itertools import chain, islice, repeat
-from operator import lshift, or_, rshift, xor
+from itertools import compress, islice
+from operator import eq, xor
 from typing import NamedTuple
 
 from .config import oracle_bound
@@ -309,7 +309,8 @@ def moc_periodic(s: PeriodicSequence) -> int:
     their common prefix exactly; M is k minus the least such bit length,
     plus 1. The windows are K = min(T, 30) bits (one CPython digit), and
     K = T has no ties, as the rotations of a least period are distinct.
-    On a tie they widen once to min(T, 60) bits from the same list, and a
+    On a tie the tied windows, those equal to a sorted neighbour, widen
+    once to min(T, 60) bits from the same list and are sorted again, and a
     period that still ties is fed to the automaton, which stops after its
     first T + M symbols (_Sam.feed).
     """
@@ -331,9 +332,12 @@ _DIGIT_BITS = 30
 
 def _windows_moc(bits: bytes) -> int | None:
     """M of the least period bits (T >= 2) from its sorted cyclic windows
-    of min(T, 30) and then min(T, 60) bits, or None when two of the wider
-    windows are still equal. The windows are freed on return, before any
-    automaton is built.
+    of min(T, 30) bits, or None when two windows still tie at min(T, 60)
+    bits. Two rotations share more than 30 symbols only if their 30-bit
+    windows are equal, so on a tie only the windows equal to a sorted
+    neighbour are widened and sorted again; any others differ within 30
+    symbols, less than the tie's. The windows are freed on return, before
+    any automaton is built.
     """
     T = len(bits)
     k = min(T, _DIGIT_BITS)
@@ -343,25 +347,26 @@ def _windows_moc(bits: bytes) -> int | None:
         w = w << 1 | c
     # windows[i] holds symbols i, ..., i + k - 1 (cyclic), symbol i highest.
     windows = [w := (w << 1 | c) & mask for c in bits[k - 1 :] + bits[: k - 1]]
-    lcp = _longest_common_prefix(windows, k)
+    lcp, ordered = _longest_common_prefix(windows, k)
     if lcp < k:
         return lcp + 1
     # A tie means T > 30. The wider window at i appends the first r symbols
-    # of the window at i + 30.
+    # of the window at i + 30, read at the index i + 30 - T when that wraps.
+    tied = set(compress(ordered, map(eq, ordered, islice(ordered, 1, None))))
     k = min(T, 2 * _DIGIT_BITS)
     r = k - _DIGIT_BITS
-    ahead = chain(islice(windows, _DIGIT_BITS, None), windows[:_DIGIT_BITS])
-    wide = map(or_, map(lshift, windows, repeat(r)), map(rshift, ahead, repeat(_DIGIT_BITS - r)))
-    lcp = _longest_common_prefix(wide, k)
+    at = compress(range(T), map(tied.__contains__, windows))
+    wide = [windows[i] << r | windows[i + _DIGIT_BITS - T] >> (_DIGIT_BITS - r) for i in at]
+    lcp, _ = _longest_common_prefix(wide, k)
     return lcp + 1 if lcp < k else None
 
 
-def _longest_common_prefix(windows, k: int) -> int:
+def _longest_common_prefix(windows, k: int) -> tuple[int, list[int]]:
     """Longest common prefix of two of the k-bit windows (at least two),
-    first symbol high, or k when two are equal: read between neighbours
-    in sorted order."""
+    first symbol high, or k when two are equal, read between neighbours
+    in sorted order; and the windows sorted."""
     ordered = sorted(windows)
-    return k - min(map(int.bit_length, map(xor, ordered, islice(ordered, 1, None))))
+    return k - min(map(xor, ordered, islice(ordered, 1, None))).bit_length(), ordered
 
 
 # The ell moduli whose M is floor(log2 q) rather than ceil(log2 q).

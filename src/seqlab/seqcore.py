@@ -216,6 +216,10 @@ class Profile:
 
 Source = Union[str, Path, IO[str]]
 
+# The ASCII whitespace read_bits skips: what str.isspace accepts below 128,
+# 0x1c to 0x1f included.
+_ASCII_SPACE = b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
+
 
 def read_bits(source: Source) -> Word:
     """Read a bit file: ASCII '0'/'1' with ASCII whitespace ignored.
@@ -230,15 +234,13 @@ def read_bits(source: Source) -> Word:
         text = source.read()
     else:
         text = Path(source).read_bytes().decode("latin-1")
-    bits = bytearray()
-    for off, ch in enumerate(text):
-        if ch == "0":
-            bits.append(0)
-        elif ch == "1":
-            bits.append(1)
-        elif not (ch.isspace() and ch.isascii()):
-            raise MalformedBitFile(off, ch)
-    return Word(bytes(bits))
+    if text.isascii():
+        data = text.encode("ascii").translate(None, _ASCII_SPACE)
+        if data.count(b"0") + data.count(b"1") == len(data):
+            return Word(data.translate(_FROM01))
+    # Some character is bad: the first one is reported.
+    off = next(i for i, ch in enumerate(text) if ch not in "01" and not (ch.isspace() and ch.isascii()))
+    raise MalformedBitFile(off, text[off])
 
 
 def write_bits(w: Word, sink: Source) -> None:

@@ -648,3 +648,54 @@ def ell_moduli_by_trial(limit: int) -> list[int]:
         if r == 1 and len(coset_orbit(1, q)) == q - q // p:
             out.append(q)
     return out
+
+
+def lfsr_walk(taps, seed, n: int) -> bytes:
+    """First n bits of the register s_(i+r) = XOR of s_(i+t) over t in taps,
+    r = len(seed): one register step per bit on a list state."""
+    state = list(seed)
+    out = bytearray()
+    for _ in range(n):
+        out.append(state[0])
+        nxt = 0
+        for t in taps:
+            nxt ^= state[t]
+        state = state[1:] + [nxt]
+    return bytes(out)
+
+
+def lfsr_state_cycle(taps, seed) -> bytes:
+    """One least period of a register with tap 0: the output of the state
+    walk, one step per bit on a tuple state, until the state is the seed
+    again."""
+    state = tuple(seed)
+    out = bytearray()
+    steps = 0
+    while True:
+        out.append(state[0])
+        nxt = 0
+        for t in taps:
+            nxt ^= state[t]
+        state = state[1:] + (nxt,)
+        steps += 1
+        if state == tuple(seed):
+            return bytes(out)
+        assert steps < 1 << len(seed), "state cycle missed the seed"
+
+
+def zeckendorf_per_index(n: int) -> bytes:
+    """First n bits of the Zeckendorf parity, each index expanded greedily
+    on its own: take the largest Fibonacci number (1, 2, 3, 5, ...) that
+    fits, then the largest that fits the rest, and count the summands."""
+    fibs = [1, 2]
+    while fibs[-1] < n:
+        fibs.append(fibs[-1] + fibs[-2])
+    out = bytearray()
+    for i in range(n):
+        count, rest = 0, i
+        for f in reversed(fibs):
+            if f <= rest:
+                rest -= f
+                count += 1
+        out.append(count & 1)
+    return bytes(out)

@@ -19,6 +19,7 @@ from seqlab.errors import (
     ZeroSeed,
 )
 from seqlab.generators import (
+    FAMILIES,
     IDENTITY,
     PolySpec,
     SeqSpec,
@@ -42,7 +43,14 @@ from seqlab.generators import (
 from seqlab.numtheory import is_prime, multiplicative_order
 from seqlab.seqcore import Word, write_bits
 
-from referees import carry_register_bits, legendre_euler_word, legendre_symbol
+from referees import (
+    carry_register_bits,
+    legendre_euler_word,
+    legendre_symbol,
+    lfsr_state_cycle,
+    lfsr_walk,
+    zeckendorf_per_index,
+)
 
 
 # Run-length oracle: overlapping occurrences of the all-ones block of
@@ -173,6 +181,22 @@ def test_zeckendorf_bit_is_summand_parity():
     ]
     w = zeckendorf_word(300)
     assert list(w) == [zeckendorf_bit(n) for n in range(300)]
+
+
+def test_zeckendorf_word_matches_per_index_referee():
+    ref = zeckendorf_per_index(20000)
+    assert zeckendorf_word(20000).bits == ref
+    for n in range(400):
+        assert zeckendorf_word(n).bits == ref[:n], n
+    # Every block edge of the Fibonacci doubling, F_2 = 1 to F_30 = 832040.
+    fibs = [1, 2]
+    while len(fibs) < 29:
+        fibs.append(fibs[-1] + fibs[-2])
+    long = zeckendorf_word(fibs[-1] + 1).bits
+    for f in fibs:
+        for n in (f - 1, f, f + 1):
+            assert zeckendorf_word(n).bits == long[:n], n
+        assert long[f - 1 : f + 1] == bytes(map(zeckendorf_bit, range(f - 1, f + 1))), f
 
 
 def test_legendre_word_character_convention():
@@ -357,6 +381,79 @@ def test_lfsr_argument_checks():
         lfsr_period((1, 2), (1, 0, 0))
 
 
+def _tap_sets(r):
+    return [tuple(t for t in range(r) if v >> t & 1) for v in range(1 << r)]
+
+
+def _seeds(r):
+    return [tuple(v >> i & 1 for i in range(r)) for v in range(1, 1 << r)]
+
+
+def _three_seeds(r):
+    return [(1,) + (0,) * (r - 1), (1,) * r, (0, 1) * (r // 2) + (1,) * (r % 2)]
+
+
+def test_lfsr_word_matches_walk_every_register_to_6():
+    # Every tap set (empty and without tap 0 included) and nonzero seed at
+    # 4r + 40 bits. The builder's block edges depend on r and the taps
+    # alone, so every length up to there (below r included) is checked on
+    # every seed up to r = 4 and on three seeds above.
+    for r in range(1, 7):
+        top = 4 * r + 40
+        for taps in _tap_sets(r):
+            for seed in _seeds(r):
+                ref = lfsr_walk(taps, seed, top)
+                lengths = range(top + 1) if r <= 4 or seed in _three_seeds(r) else (top,)
+                for n in lengths:
+                    assert lfsr_word(taps, seed, n).bits == ref[:n], (taps, seed, n)
+
+
+def test_lfsr_word_matches_walk_random_registers():
+    rng = random.Random(23)
+    for _ in range(200):
+        r = rng.randrange(1, 17)
+        taps = tuple(sorted(rng.sample(range(r), rng.randrange(0, r + 1))))
+        seed = tuple(rng.getrandbits(1) for _ in range(r - 1)) + (1,)
+        n = rng.randrange(3001)
+        assert lfsr_word(taps, seed, n).bits == lfsr_walk(taps, seed, n), (taps, seed, n)
+
+
+def test_lfsr_period_matches_state_walk():
+    # Every tap set with tap 0 up to r = 8: every seed up to r = 5, three
+    # seeds above. Non-primitive sets give cycles shorter than 2^r - 1.
+    lengths = set()
+    for r in range(1, 9):
+        seeds = _seeds(r) if r <= 5 else _three_seeds(r)
+        for taps in _tap_sets(r):
+            if 0 not in taps:
+                continue
+            for seed in seeds:
+                s = lfsr_period(taps, seed)
+                assert s.least and s.word.bits == lfsr_state_cycle(taps, seed), (taps, seed)
+                lengths.add((r, s.T))
+    assert (8, 255) in lengths and (8, 1) in lengths and (8, 8) in lengths
+
+
+def test_lfsr_period_short_cycle_of_a_long_register(monkeypatch):
+    # s_(i+48) = s_i: the cycle divides 48 and its return lies in the first
+    # doubled prefix of 96 bits, far below the 2^48 - 1 + 48 bound. The
+    # builder refuses long prefixes here, so a missed return fails at once.
+    sizes = []
+    extend = generators._register_extend
+
+    def bounded(bits, taps, r, n):
+        sizes.append(n)
+        assert n <= 1 << 12
+        extend(bits, taps, r, n)
+
+    monkeypatch.setattr(generators, "_register_extend", bounded)
+    for seed in ((1,) + (0,) * 47, (1, 0) * 24, (1, 1, 0) * 16, (1,) * 48):
+        sizes.clear()
+        s = lfsr_period((0,), seed)
+        assert s.word.bits == lfsr_state_cycle((0,), seed) and 48 % s.T == 0
+        assert sizes == [96]
+
+
 def test_seqspec_validation():
     with pytest.raises(InvalidParameter):
         SeqSpec("nonesuch")
@@ -421,6 +518,17 @@ def test_materialize_families(tmp_path):
     assert materialize(fspec, 40).to01() == rudin_shapiro_word(40).to01()
     with pytest.raises(TooShort):
         materialize(fspec, 41)
+
+
+def test_materialize_indexed_families_prefix_is_the_bit_path():
+    # Plain words come from each family's prefix; @poly= reads bit.
+    f = PolySpec((1, 0, 2))
+    for family in ("zero", "ones", "zeckendorf", "thue-morse", "rudin-shapiro"):
+        bit = FAMILIES[family].bit()
+        for n in (0, 1, 2, 3, 100, 1597, 1598, 5000):
+            assert materialize(SeqSpec(family), n).bits == bytes(map(bit, range(n))), (family, n)
+        along = materialize(SeqSpec(family, poly=f), 300)
+        assert along.bits == bytes(bit(f(i)) for i in range(300)), family
 
 
 def test_periodic_sequence_from_spec():

@@ -298,6 +298,31 @@ def test_moc_periodic_long_ties_match_referee_at_every_stage(staged):
     assert set(stages) == {1, 2, 3}
 
 
+def test_moc_periodic_widens_only_the_tied_windows(monkeypatch):
+    calls = []
+    lcp = maxorder._longest_common_prefix
+
+    def counting(windows, k):
+        windows = list(windows)
+        calls.append((len(windows), k))
+        return lcp(windows, k)
+
+    monkeypatch.setattr(maxorder, "_longest_common_prefix", counting)
+    # A 45-symbol block twice in 250: its windows tie at 30 bits, not at 60.
+    rng = random.Random(43)
+    block = random_word(rng, 45).bits
+    s = PeriodicSequence.from_word(Word(block + random_word(rng, 100).bits + block + random_word(rng, 60).bits))
+    m = moc_periodic(s)
+    assert m == moc_two_periods(s.word.bits, word_moc) and 46 <= m <= 60
+    assert calls[0] == (250, 30) and calls[1][1] == 60 and 2 <= calls[1][0] <= 40 and len(calls) == 2
+    # 0^(T-1)1: its T - 30 zero windows tie at 60 bits too, so the
+    # automaton reads M.
+    calls.clear()
+    s = PeriodicSequence.from_word(Word(bytes(199) + b"\x01"))
+    assert moc_periodic(s) == moc_two_periods(s.word.bits, word_moc) == 199
+    assert calls == [(200, 30), (170, 60)]
+
+
 def test_moc_periodic_legendre_99991_widens_once(staged):
     s = legendre_period(99991, IDENTITY)
     assert staged(s) == (43, 2)
