@@ -87,7 +87,6 @@ def connection(s: PeriodicSequence) -> RationalRep:
     The pair is built without a second gcd: with g = gcd(M, S), a common
     divisor k of M/g and S/g makes k*g a common divisor of M and S, so k*g
     divides g and k = 1."""
-    s = s.normalized()
     sv = s.word.value()
     modulus = (1 << s.T) - 1
     g = math.gcd(modulus, sv)
@@ -103,7 +102,7 @@ def phi2_symmetric(s: PeriodicSequence) -> AdicValue:
     sequence and its reversed period. cli._periodic_text applies the same
     rule to connections it already holds."""
     q_fwd = connection(s).q
-    q_rev = connection(reverse_period(s.normalized())).q
+    q_rev = connection(reverse_period(s)).q
     return AdicValue(min(q_fwd, q_rev))
 
 

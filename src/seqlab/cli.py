@@ -23,12 +23,8 @@ from .generators import PolySpec, SeqSpec
 from .seqcore import reverse_period, write_bits
 
 # Cost caps, checked before any work starts; the library itself is uncapped.
-# A scan jumps from grid point to grid point, each jump a Euclid on the bits
-# since the point before, quadratic in that gap: at N = 10^6 the default grid
-# (100 points) takes about 3 s and 400 points (ratio about 1.03 at 10^6)
-# about 14 s (2-core container), so one run stays within minutes. generate
-# builds words of the same lengths.
-MAX_BITS = 1_000_000
+# The longest word generate and scan build is the lowerbound suite's cap.
+MAX_BITS = relations.MAX_BITS
 MAX_GRID_POINTS = 400
 # analyze prints mu, an integer of about N/2 bits, on each of its N rows, so
 # its output grows as N^2: 3.8 s, 197 MB peak and 78 MB written at 32000
@@ -47,7 +43,8 @@ MAX_ANALYZE_BITS = 32_000
 # bits (at most 2T - 1), after the sort of its 30-bit windows and that of
 # the 60-bit windows of those that tie: 0^(T-1)1 at T = 10^6 (read from a
 # file) takes 4.7 s and 312 MB peak (median of three runs). The family's
-# period bound (p, ord_q(2), 2^r - 1) is checked before anything is built.
+# period bound (p, ord_q(2), 2^r - 1, a file's bit count) is checked before
+# the period is built, by periodic and by a scan that reads a period.
 MAX_PERIOD = 1_000_000
 
 # ---------------------------------------------------------------------------
@@ -265,8 +262,17 @@ def _analyze_text(spec: SeqSpec, nmax: int, names: tuple[str, ...], fmt: str) ->
 # ---------------------------------------------------------------------------
 # periodic
 
+def _capped_period(spec: SeqSpec):
+    """The function that builds the spec's least period, once its bound is
+    checked against MAX_PERIOD."""
+    bound, build = generators.bounded_period(spec)
+    if bound > MAX_PERIOD:
+        raise BoundExceeded(f"period up to {bound} exceeds its maximum {MAX_PERIOD}")
+    return build
+
+
 def _periodic_text(spec: SeqSpec, fmt: str) -> str:
-    s = generators.periodic_sequence(spec)
+    s = _capped_period(spec)()
     # One connection each for the sequence and its reversal: phi2 and
     # phi2_symmetric would rebuild the forward one twice more. The min
     # below is adic.phi2_symmetric's rule.
@@ -412,11 +418,7 @@ def _dispatch(args) -> int:
         names = _parse_measures(args.measures)
         text = _analyze_text(parse_seqspec(args.seq), args.nmax, names, args.format)
     elif args.verb == "periodic":
-        spec = parse_seqspec(args.seq)
-        bound = generators.period_bound(spec)
-        if bound > MAX_PERIOD:
-            raise BoundExceeded(f"period up to {bound} exceeds its maximum {MAX_PERIOD}")
-        text = _periodic_text(spec, args.format)
+        text = _periodic_text(parse_seqspec(args.seq), args.format)
     elif args.verb in ("verify", "tables"):
         if args.verb == "verify":
             reports = _verify_reports(args.claim, args.exhaustive_t, args.nmax)
@@ -429,6 +431,8 @@ def _dispatch(args) -> int:
         if args.nmax > MAX_BITS:
             raise BoundExceeded(f"--nmax {args.nmax} exceeds its maximum {MAX_BITS}")
         relations.grid_points(args.nmax, args.grid_ratio, MAX_GRID_POINTS)
+        if spec.family in relations.SCAN_PERIOD_FAMILIES:
+            _capped_period(spec)
         report = relations.conjecture_scan(spec, args.nmax, args.c, args.grid_ratio)
         # code stays 0: conjecture scans are report-grade and never fail the run
         text = _scan_text(report, args.format)

@@ -17,7 +17,7 @@ from .errors import (
     ZeroSeed,
 )
 from .numtheory import is_prime, multiplicative_order
-from .seqcore import PeriodicSequence, Word, least_period, read_bits
+from .seqcore import PeriodicSequence, Word, read_bits
 
 
 # typing.NamedTuple refuses a __new__ in the class body, so a type that
@@ -241,7 +241,7 @@ def _check_legendre_args(p: int, f: PolySpec) -> None:
 
 def legendre_period(p: int, f: PolySpec) -> PeriodicSequence:
     """One full period (length p) of the quadratic-residue sequence."""
-    return PeriodicSequence.from_word(legendre_word(p, f, p))
+    return PeriodicSequence(legendre_word(p, f, p))
 
 
 def fcsr_bit(a: int, q: int, n: int) -> int:
@@ -259,7 +259,7 @@ def fcsr_word(a: int, q: int) -> PeriodicSequence:
     -a/q, so connection() inverts this construction exactly.
     """
     _check_fcsr_args(a, q)
-    return PeriodicSequence(_fcsr_prefix(a, q, multiplicative_order(2, q)), least=True)
+    return PeriodicSequence(_fcsr_prefix(a, q, multiplicative_order(2, q)))
 
 
 def _fcsr_prefix(a: int, q: int, n: int) -> Word:
@@ -353,7 +353,7 @@ def lfsr_period(taps: tuple[int, ...], seed: tuple[int, ...]) -> PeriodicSequenc
     while (period := bits.find(bits[:r], 1)) < 0:
         assert len(bits) < (1 << r) - 1 + r, "state cycle missed the seed"
         _register_extend(bits, taps, r, min(2 * len(bits), (1 << r) - 1 + r))
-    return PeriodicSequence(Word(bytes(bits[:period])), least=True)
+    return PeriodicSequence(Word(bytes(bits[:period])))
 
 
 def _file_prefix(path: str, n: int) -> Word:
@@ -363,14 +363,20 @@ def _file_prefix(path: str, n: int) -> Word:
     return w[:n]
 
 
+def _file_period(path: str) -> tuple[int, Callable[[], PeriodicSequence]]:
+    """A file's bit count, the bound on its least period, and the builder
+    of that period from the same read."""
+    w = read_bits(path)
+    return len(w), lambda: PeriodicSequence(w)
+
+
 class _FamilyFields(NamedTuple):
     keys: dict
     defaults: dict
     check: Callable[..., None] | None
     bit: Callable[..., Callable[[int], int]] | None
     prefix: Callable[..., Word]
-    period: Callable[..., PeriodicSequence] | None
-    period_bound: Callable[..., int] | None
+    period: Callable[..., tuple[int, Callable[[], PeriodicSequence]]] | None
 
 
 class Family(_FamilyFields):
@@ -383,28 +389,25 @@ class Family(_FamilyFields):
     the first n bits, which builds every plain word. An indexed family
     also gives bit(...), its bit as a function of the index, used only
     along the polynomial of @poly=, which only indexed families take.
-    period(...) is one least period, for families that have one, and
-    period_bound(...) an upper bound on its length, found without building
-    it.
+    period(...), for families that have one, gives an upper bound on the
+    length of the least period, found without building it, and a function
+    that builds the period.
     """
 
     __slots__ = ()
 
-    def __new__(
-        cls, keys=None, defaults=None, check=None, bit=None, prefix=None, period=None, period_bound=None
-    ) -> "Family":
+    def __new__(cls, keys=None, defaults=None, check=None, bit=None, prefix=None, period=None) -> "Family":
         # each row gets its own dicts, never one shared default
         keys = {} if keys is None else keys
         defaults = {} if defaults is None else defaults
-        return super().__new__(cls, keys, defaults, check, bit, prefix, period, period_bound)
+        return super().__new__(cls, keys, defaults, check, bit, prefix, period)
 
 
 def _constant(b: int) -> Family:
     return Family(
         bit=lambda: lambda m: b,
         prefix=lambda n: Word(bytes((b,)) * n),
-        period=lambda: PeriodicSequence(Word([b]), least=True),
-        period_bound=lambda: 1,
+        period=lambda: (1, lambda: PeriodicSequence(Word([b]))),
     )
 
 
@@ -433,28 +436,24 @@ FAMILIES = {
         {"f": IDENTITY},
         check=_check_legendre_args,
         prefix=lambda n, p, f: legendre_word(p, f, n),
-        period=legendre_period,
-        period_bound=lambda p, f: p,
+        period=lambda p, f: (p, lambda: legendre_period(p, f)),
     ),
     "ell": Family(
         {"q": "int", "A": "int"},
         check=lambda A, q: _check_fcsr_args(A, q),
         prefix=lambda n, A, q: _fcsr_prefix(A, q, n),
-        period=lambda A, q: fcsr_word(A, q),
-        period_bound=lambda A, q: multiplicative_order(2, q),
+        period=lambda A, q: (multiplicative_order(2, q), lambda: fcsr_word(A, q)),
     ),
     "lfsr": Family(
         {"taps": "list", "seed": "list"},
         check=_check_lfsr_args,
         prefix=lambda n, taps, seed: lfsr_word(taps, seed, n),
-        period=lfsr_period,
-        period_bound=lambda taps, seed: (1 << len(seed)) - 1,
+        period=lambda taps, seed: ((1 << len(seed)) - 1, lambda: lfsr_period(taps, seed)),
     ),
     "file": Family(
         {"path": "path"},
         prefix=lambda n, path: _file_prefix(path, n),
-        period=lambda path: least_period(read_bits(path)),
-        period_bound=lambda path: len(read_bits(path)),
+        period=_file_period,
     ),
 }
 
@@ -545,20 +544,17 @@ def materialize(spec: SeqSpec, n: int) -> Word:
     return along_polynomial(fam.bit(**spec._values()), spec.poly, n)
 
 
-def period_bound(spec: SeqSpec) -> int:
-    """Upper bound on the least period of the specified sequence, computed
-    without building it; families without a period raise as in
-    periodic_sequence."""
-    bound = FAMILIES[spec.family].period_bound
-    if bound is None:
-        raise InvalidParameter(f"family {spec.family!r} has no finite period")
-    return bound(**spec._values())
-
-
-def periodic_sequence(spec: SeqSpec) -> PeriodicSequence:
-    """The specified sequence as a least-period word; only constant,
-    register, residue and file families have one."""
+def bounded_period(spec: SeqSpec) -> tuple[int, Callable[[], PeriodicSequence]]:
+    """An upper bound on the least period of the specified sequence, found
+    without building it (a file is read once, for both), and a function
+    that builds the period; only constant, register, residue and file
+    families have one."""
     period = FAMILIES[spec.family].period
     if period is None:
         raise InvalidParameter(f"family {spec.family!r} has no finite period")
     return period(**spec._values())
+
+
+def periodic_sequence(spec: SeqSpec) -> PeriodicSequence:
+    """The specified sequence as its least period."""
+    return bounded_period(spec)[1]()

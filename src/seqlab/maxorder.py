@@ -314,7 +314,6 @@ def moc_periodic(s: PeriodicSequence) -> int:
     period that still ties is fed to the automaton, which stops after its
     first T + M symbols (_Sam.feed).
     """
-    s = s.normalized()
     if s.T == 1:
         return 0
     m = _windows_moc(s.word.bits)

@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 from . import adic, generators, maxorder, measures, numtheory
 from .config import oracle_bound
 from .errors import BoundExceeded, InvalidParameter
-from .seqcore import PeriodicSequence, Word, least_period
+from .seqcore import PeriodicSequence, Word
 
 PASS = "pass"
 FAIL = "fail"
@@ -124,7 +124,6 @@ LEMMA1_T_BOUND = 64
 
 def verify_thm2(s: PeriodicSequence, instance: str | None = None) -> VerificationReport:
     """Periodic window complexity is at most ceil(log2 q)."""
-    s = s.normalized()
     instance = instance or f"period {s.word.to01()}"
     m = maxorder.moc_periodic(s)
     q = adic.connection(s).q
@@ -141,7 +140,6 @@ def verify_lemma1(s: PeriodicSequence, instance: str | None = None) -> Verificat
     Checks N in {2T+1, 2T+2, 2T+3} and records mu(2T), which may still fall
     short of q.
     """
-    s = s.normalized()
     T = s.T
     if T > LEMMA1_T_BOUND:
         raise BoundExceeded(f"T = {T} > lemma1 bound {LEMMA1_T_BOUND}")
@@ -150,8 +148,8 @@ def verify_lemma1(s: PeriodicSequence, instance: str | None = None) -> Verificat
 
 
 def _lemma1_mus(s: PeriodicSequence) -> tuple[int, list[int]]:
-    """q and mu at N = 2T, ..., 2T + 3 of a normalized s. The four lengths
-    are one run: one jump from length 0 and three steps."""
+    """q and mu at N = 2T, ..., 2T + 3 of s. The four lengths are one run:
+    one jump from length 0 and three steps."""
     n = 2 * s.T
     return adic.connection(s).q, adic.adic_mu(s.prefix(n + 3), [n, n + 1, n + 2, n + 3])
 
@@ -197,6 +195,10 @@ def _coset_reps(q: int):
         a = seen.find(0, a + 1)
 
 
+# Largest modulus verify_thm4 takes; thm4_suite runs up to it by default.
+THM4_Q_MAX = 1000
+
+
 def verify_thm4(q: int) -> VerificationReport:
     """Coset distinctness computes the same M as the generated sequence.
 
@@ -204,8 +206,8 @@ def verify_thm4(q: int) -> VerificationReport:
     T = ord_q(2), the least period of the carry-register word. The walks
     mark every unit once, so their lengths sum to phi(q).
     """
-    if not 3 <= q <= 1000 or q % 2 == 0:
-        raise BoundExceeded(f"need odd 3 <= q <= 1000, got {q}")
+    if not 3 <= q <= THM4_Q_MAX or q % 2 == 0:
+        raise BoundExceeded(f"need odd 3 <= q <= {THM4_Q_MAX}, got {q}")
     values = set()
     cosets = 0
     units = 0
@@ -240,7 +242,11 @@ def verify_thm4(q: int) -> VerificationReport:
 def _carry_period(a: int, q: int, T: int) -> PeriodicSequence:
     """The carry-register sequence of the unit a mod q, given T = ord_q(2),
     its least period, as the length of a's doubling orbit."""
-    return PeriodicSequence(generators._fcsr_prefix(a, q, T), least=True)
+    return PeriodicSequence(generators._fcsr_prefix(a, q, T))
+
+
+# Largest modulus verify_thm5 takes; thm5_suite runs up to it by default.
+THM5_Q_MAX = 10_000
 
 
 def verify_thm5(q: int) -> VerificationReport:
@@ -249,8 +255,8 @@ def verify_thm5(q: int) -> VerificationReport:
     2 is primitive mod q, so the units form a single coset and A = 1
     represents every admissible sequence.
     """
-    if q > 10_000:
-        raise BoundExceeded(f"need q <= 10000, got {q}")
+    if q > THM5_Q_MAX:
+        raise BoundExceeded(f"need q <= {THM5_Q_MAX}, got {q}")
     p, k = maxorder._ell_power(q)  # validates the modulus shape
     return _thm5_report(q, p, k)
 
@@ -301,9 +307,6 @@ def lemma3_scan(k_max: int) -> VerificationReport:
 # The closing example: M = T - 2 does not force a maximal connection integer.
 THM6_EXAMPLE = ("00100100", 6, 85)
 
-# Largest period the exhaustive thm6 check accepts, the same as thm2's.
-THM6_T_MAX = 20
-
 
 def verify_thm6(T: int) -> VerificationReport:
     """Every least-period-T word with M = T - 1 has q = 2^T - 1.
@@ -313,8 +316,9 @@ def verify_thm6(T: int) -> VerificationReport:
     T = 8 the report also rechecks the near-extremal example with M = T - 2
     and q = 85 < 255.
     """
-    if not 2 <= T <= THM6_T_MAX:
-        raise BoundExceeded(f"need 2 <= T <= {THM6_T_MAX}, got {T}")
+    row = CLAIM_SUITES["thm6"]
+    if not row.minimum <= T <= row.maximum:
+        raise BoundExceeded(f"need {row.minimum} <= T <= {row.maximum}, got {T}")
     full = (1 << T) - 1
     extremal = 0
     for s in _rotation_classes(T):
@@ -332,7 +336,7 @@ def verify_thm6(T: int) -> VerificationReport:
     evidence: dict = {"T": T, "extremal_words": extremal, "q": full}
     if T == 8:
         word01, want_m, want_q = THM6_EXAMPLE
-        s = PeriodicSequence.from_word(Word.from01(word01))
+        s = PeriodicSequence(Word.from01(word01))
         m = maxorder.moc_periodic(s)
         q = adic.connection(s).q
         evidence["example"] = {"word": word01, "moc": m, "q": q}
@@ -420,8 +424,13 @@ LOWERBOUND_FAMILIES = {
     "rudin-shapiro": (25, 6),
 }
 
-# Largest --nmax of the lowerbound suite: the command line's MAX_BITS.
-LOWERBOUND_N_MAX = 1_000_000
+# Longest word the command line's generate and scan build, and the largest
+# --nmax of the lowerbound suite. A scan jumps from grid point to grid
+# point, each jump a Euclid on the bits since the point before, quadratic in
+# that gap: at N = 10^6 the default grid (100 points) takes about 3 s and
+# 400 points (ratio about 1.03 at 10^6) about 14 s (2-core container), so
+# one run stays within minutes. generate builds words of the same lengths.
+MAX_BITS = 1_000_000
 
 
 def verify_lowerbound(family: str, n_max: int) -> VerificationReport:
@@ -577,7 +586,7 @@ def cor1_suite(count: int = 100, length: int = 128, seed: int = SUITE_SEED):
 def _least_period_words(T: int):
     """All least-period-exactly-T sequences, by ascending phase value."""
     for v in range(1 << T):
-        s = least_period(Word([(v >> i) & 1 for i in range(T)]))
+        s = PeriodicSequence(Word([(v >> i) & 1 for i in range(T)]))
         if s.T == T:
             yield s
 
@@ -602,7 +611,7 @@ def _rotation_classes(T: int):
         a[-1] += 1
         m = len(a)
         if m == T:
-            yield PeriodicSequence(Word(a[::-1]), least=True)
+            yield PeriodicSequence(Word(a[::-1]))
         while len(a) < T:
             a.append(a[-m])
         while a and a[-1] == 1:
@@ -652,7 +661,7 @@ def lemma1_suite(t_max: int):
 
     Every word is visited: mu(2T) is not constant on a rotation class.
     """
-    reports = [verify_lemma1(PeriodicSequence.from_word(Word.from01("01001")))]
+    reports = [verify_lemma1(PeriodicSequence(Word.from01("01001")))]
     for T in range(1, t_max + 1):
         words = 0
         gaps = 0
@@ -677,11 +686,11 @@ def lemma1_suite(t_max: int):
     return reports
 
 
-def thm4_suite(q_max: int = 1000):
+def thm4_suite(q_max: int = THM4_Q_MAX):
     return [verify_thm4(q) for q in range(3, q_max + 1, 2)]
 
 
-def thm5_suite(q_max: int = 10_000):
+def thm5_suite(q_max: int = THM5_Q_MAX):
     return [_thm5_report(q, p, k) for q, p, k in maxorder._ell_powers(q_max)]
 
 
@@ -727,13 +736,13 @@ CLAIM_SUITES = {
     "cor1": ClaimSuite(cor1_suite),
     "lemma1": ClaimSuite(lemma1_suite, "--exhaustive-T", 8, 1, 16),
     "lemma3": ClaimSuite(lambda: [lemma3_scan(30)]),
-    "lowerbound": ClaimSuite(lowerbound_suite, "--nmax", 2000, None, LOWERBOUND_N_MAX),
+    "lowerbound": ClaimSuite(lowerbound_suite, "--nmax", 2000, None, MAX_BITS),
     "msequence": ClaimSuite(msequence_suite),
     "thm1": ClaimSuite(thm1_suite),
     "thm2": ClaimSuite(thm2_suite, "--exhaustive-T", 10, 1, 20),
     "thm4": ClaimSuite(thm4_suite),
     "thm5": ClaimSuite(thm5_suite),
-    "thm6": ClaimSuite(thm6_suite, "--exhaustive-T", 12, 2, THM6_T_MAX),
+    "thm6": ClaimSuite(thm6_suite, "--exhaustive-T", 12, 2, 20),
 }
 
 # Claim id -> suite. run_claim calls every suite through this dict, so one
@@ -810,6 +819,12 @@ def grid_points(n_max: int, ratio: float = 1.3, max_points: int | None = None) -
     return pts
 
 
+# The families conjecture_scan reads one period of, to cap the target at
+# its periodic complexity: the scanned word is that period repeated. The
+# command line bounds the period before the scan starts.
+SCAN_PERIOD_FAMILIES = frozenset({"legendre"})
+
+
 def conjecture_scan(
     spec: generators.SeqSpec, n_max: int, c: float = 8.0, ratio: float = 1.3
 ) -> ScanReport:
@@ -824,7 +839,7 @@ def conjecture_scan(
         raise InvalidParameter(f"need a finite c > 0, got {c}")
     grid = grid_points(n_max, ratio)
     cap = None
-    if spec.family == "legendre":
+    if spec.family in SCAN_PERIOD_FAMILIES:
         # One period gives both the cap and the word.
         per = generators.periodic_sequence(spec)
         cap = adic.phi2(per).log2

@@ -1,4 +1,5 @@
-"""Binary words, periodic sequences, measure profiles, and the bit-file format."""
+"""Binary words, periodic sequences held as their least period, measure
+profiles, and the bit-file format."""
 
 from __future__ import annotations
 
@@ -79,60 +80,56 @@ def prefix_value(w: Word, n: int | None = None) -> int:
     return w[:n].value()
 
 
-class PeriodicSequence(NamedTuple):
-    """An infinite periodic binary sequence given by one period word.
+# typing.NamedTuple refuses a __new__ in the class body, so a type that
+# checks or fills its fields subclasses a private tuple of them.
+class _Period(NamedTuple):
+    word: Word
 
-    least is True when the stored word is the least period. Constructors
-    normalize; operations that need the least period call normalized().
+
+class PeriodicSequence(_Period):
+    """An infinite periodic binary sequence, held as its least period.
+
+    Built from any nonempty period word w, it keeps the least d >= 1 whose
+    rotation maps w to itself, read as the first match of w at offset d in
+    two copies of it. The rotations that fix w form a group, so that least d
+    divides len(w), and w is its first d symbols repeated. So T is always
+    the least period, and two periods of one sequence, such as 0101 and 01,
+    compare and hash equal. When w is its own least period, w itself is
+    kept.
     """
 
-    word: Word
-    least: bool = False
+    __slots__ = ()
+
+    def __new__(cls, word: Word) -> "PeriodicSequence":
+        data = word.bits
+        if not data:
+            raise InvalidParameter("empty word has no period")
+        d = (data + data).find(data, 1)
+        return super().__new__(cls, word if d == len(data) else word[:d])
 
     @classmethod
-    def from_word(cls, w: Word) -> "PeriodicSequence":
-        return least_period(w)
+    def _make(cls, iterable) -> "PeriodicSequence":
+        # namedtuple's _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
     @property
     def T(self) -> int:
         return len(self.word)
 
-    def normalized(self) -> "PeriodicSequence":
-        return self if self.least else least_period(self.word)
-
     def prefix(self, n: int) -> Word:
         """First n symbols of the infinite sequence."""
-        T = len(self.word)
-        if T == 0:
-            raise ValueError("empty period")
-        reps = -(-n // T)
+        reps = -(-n // len(self.word))
         return Word((self.word.bits * reps)[:n])
 
     def bit(self, n: int) -> int:
         return self.word[n % len(self.word)]
 
 
-def least_period(w: Word) -> PeriodicSequence:
-    """Normalize a period word: its least period d, the least d >= 1 whose
-    rotation maps the word to itself, read as the first match of the word
-    at offset d in two copies of it. The rotations that fix the word form
-    a group, so that least d divides len(w), and the word is its first d
-    symbols repeated."""
-    data = w.bits
-    if not data:
-        raise InvalidParameter("empty word has no period")
-    d = (data + data).find(data, 1)
-    return PeriodicSequence(Word(data[:d]), least=True)
-
-
 def reverse_period(s: PeriodicSequence) -> PeriodicSequence:
     """Sequence whose period word is the reversal of s's period word."""
-    # Reversal preserves least-periodicity.
-    return PeriodicSequence(Word(s.word.bits[::-1]), least=s.least)
+    return PeriodicSequence(Word(s.word.bits[::-1]))
 
 
-# typing.NamedTuple refuses a __new__ in the class body, so a type that
-# checks its fields subclasses a private tuple of them.
 class _Rational(NamedTuple):
     A: int
     q: int

@@ -106,7 +106,7 @@ def test_criterion_03_fcsr_fixtures():
 def test_criterion_04_counterexample_period():
     """Period 01001: mu(11) = 31 exactly, mu(10) <= 22 via an admissible
     witness, and the exhaustive oracle confirms adic_min at N = 10."""
-    w = PeriodicSequence.from_word(Word.from01("01001")).prefix(11)
+    w = PeriodicSequence(Word.from01("01001")).prefix(11)
     m11 = adic_min(w, 11)
     assert m11.mu == 31
     # Witness admissibility: q odd, q * S stays f mod 2^10, size max(|f|,|q|).

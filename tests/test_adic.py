@@ -37,7 +37,6 @@ from seqlab.seqcore import (
     PeriodicSequence,
     RationalRep,
     Word,
-    least_period,
     prefix_value,
     reverse_period,
 )
@@ -641,7 +640,7 @@ def test_adic_profile_final_basis_check(monkeypatch):
 def test_counterexample_period_minima():
     # Period 01001 is the expansion of 18/31; its window minima around
     # twice the period show a gap below the connection size.
-    w = PeriodicSequence.from_word(Word.from01("01001")).prefix(13)
+    w = PeriodicSequence(Word.from01("01001")).prefix(13)
     assert prefix_value(w, 10) == 594
     m10 = adic_min(w, 10)
     assert (m10.mu, m10.f, m10.q) == (22, 22, 19)
@@ -654,11 +653,11 @@ def test_counterexample_period_minima():
 
 
 def test_connection_known_pairs():
-    s = PeriodicSequence.from_word(Word.from01("01001"))
+    s = PeriodicSequence(Word.from01("01001"))
     assert connection(s) == RationalRep(18, 31)
-    assert connection(least_period(Word.from01("0"))) == RationalRep(0, 1)
-    assert connection(least_period(Word.from01("1"))) == RationalRep(1, 1)
-    assert connection(least_period(Word.from01("01"))) == RationalRep(2, 3)
+    assert connection(PeriodicSequence(Word.from01("0"))) == RationalRep(0, 1)
+    assert connection(PeriodicSequence(Word.from01("1"))) == RationalRep(1, 1)
+    assert connection(PeriodicSequence(Word.from01("01"))) == RationalRep(2, 3)
     for a, q in [(3, 31), (5, 31), (37, 127), (173, 255), (1, 11)]:
         assert connection(fcsr_word(a, q)) == RationalRep(a, q)
 
@@ -669,7 +668,7 @@ def test_connection_runs_one_gcd(monkeypatch):
     # common factor.
     rng = random.Random(42)
     words = [random_word(rng, rng.randrange(1, 40)) for _ in range(100)]
-    periods = [PeriodicSequence.from_word(w) for w in words]
+    periods = [PeriodicSequence(w) for w in words]
     want = [(r.A, r.q) for r in map(connection, periods)]
     for A, q in want:
         assert RationalRep(A, q) == RationalRep._coprime(A, q)
@@ -693,7 +692,7 @@ def test_connection_identity():
     rng = random.Random(34)
     for _ in range(60):
         T = rng.randrange(1, 14)
-        s = PeriodicSequence.from_word(random_word(rng, T))
+        s = PeriodicSequence(random_word(rng, T))
         rep = connection(s)
         assert rep.q % 2 == 1 and rep.q >= 1
         assert 0 <= rep.A <= rep.q
@@ -706,8 +705,8 @@ def test_connection_identity():
 
 def test_phi2_values():
     assert phi2(fcsr_word(5, 31)).log2 == pytest.approx(math.log2(31))
-    assert phi2(least_period(Word.from01("0"))).log2 == pytest.approx(0.0)
-    assert phi2(least_period(Word.from01("1"))).log2 == pytest.approx(0.0)
+    assert phi2(PeriodicSequence(Word.from01("0"))).log2 == pytest.approx(0.0)
+    assert phi2(PeriodicSequence(Word.from01("1"))).log2 == pytest.approx(0.0)
     big = fcsr_word(1, 2**61 - 1)
     assert phi2(big).log2 == pytest.approx(61.0)
 
@@ -716,7 +715,7 @@ def test_phi2_symmetric():
     rng = random.Random(35)
     for _ in range(40):
         T = rng.randrange(1, 12)
-        s = PeriodicSequence.from_word(random_word(rng, T))
+        s = PeriodicSequence(random_word(rng, T))
         sym = phi2_symmetric(s).log2
         fwd = phi2(s).log2
         rev = phi2(reverse_period(s)).log2
@@ -728,8 +727,8 @@ def test_phi2_symmetric():
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=40), st.data())
 def test_phi2_shift_invariant_property(bits, data):
     k = data.draw(st.integers(0, len(bits) - 1))
-    s = PeriodicSequence.from_word(Word(bytes(bits)))
-    shifted = PeriodicSequence.from_word(Word(bytes(bits[k:] + bits[:k])))
+    s = PeriodicSequence(Word(bytes(bits)))
+    shifted = PeriodicSequence(Word(bytes(bits[k:] + bits[:k])))
     assert phi2(shifted) == phi2(s)
 
 

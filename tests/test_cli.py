@@ -551,7 +551,8 @@ def test_periodic_period_cap_exits_2_before_building(monkeypatch):
     def never(*_):
         raise AssertionError("period built despite a period above the cap")
 
-    monkeypatch.setattr(generators, "periodic_sequence", never)
+    for builder in ("periodic_sequence", "legendre_period", "fcsr_word", "lfsr_period"):
+        monkeypatch.setattr(generators, builder, never)
     seed20 = ".".join(["1"] + ["0"] * 19)
     for spec, bound in (
         ("legendre:p=1000003", 1000003),
@@ -567,6 +568,33 @@ def test_periodic_period_cap_exits_2_before_building(monkeypatch):
     # The ell bound is the period ord_q(2), not q: 2 has order 1741 mod 1002817.
     code, out, _ = run(["periodic", "--seq", "ell:q=1002817,A=1"])
     assert code == 0 and out.splitlines()[1].startswith("1741,1,1002817,")
+
+
+def test_periodic_file_is_read_once(tmp_path, monkeypatch):
+    # The bit count is what is capped, not the least period: 0101...01
+    # has period 2 and is refused as 20,000 bits when the cap is below that.
+    path = tmp_path / "period.bits"
+    path.write_text("01" * 10_000 + "\n")
+    reads = []
+    monkeypatch.setattr(generators, "read_bits", lambda source: reads.append(source) or read_bits(source))
+    code, out, _ = run(["periodic", "--seq", f"file:path={path}"])
+    assert code == 0 and out.splitlines()[1].startswith("2,2,3,") and len(reads) == 1
+    reads.clear()
+    monkeypatch.setattr(cli, "MAX_PERIOD", 19_999)
+    code, out, err = run(["periodic", "--seq", f"file:path={path}"])
+    assert (code, out, err) == (2, "", "error: period up to 20000 exceeds its maximum 19999\n")
+    assert len(reads) == 1
+
+
+def test_scan_legendre_period_cap_exits_2_before_building():
+    # The scan reads one whole period of p bits, however small --nmax is.
+    t = time.perf_counter()
+    for fmt in ("csv", "json"):
+        code, out, err = run(["scan", "--seq", "legendre:p=1000003", "--nmax", "100", "--format", fmt])
+        assert (code, out, err) == (2, "", "error: period up to 1000003 exceeds its maximum 1000000\n")
+    assert time.perf_counter() - t < 1.0
+    code, out, _ = run(["scan", "--seq", "legendre:p=999983", "--nmax", "100"])
+    assert code == 0 and out.startswith("# seqlab-scan-v1:") and "# seq=legendre:p=999983 n_max=100" in out
 
 
 def test_periodic_legendre():

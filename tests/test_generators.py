@@ -46,6 +46,7 @@ from seqlab.seqcore import Word, write_bits
 from referees import (
     carry_register_bits,
     legendre_euler_word,
+    least_period_by_divisors,
     legendre_symbol,
     lfsr_state_cycle,
     lfsr_walk,
@@ -429,7 +430,8 @@ def test_lfsr_period_matches_state_walk():
                 continue
             for seed in seeds:
                 s = lfsr_period(taps, seed)
-                assert s.least and s.word.bits == lfsr_state_cycle(taps, seed), (taps, seed)
+                assert s.word.bits == lfsr_state_cycle(taps, seed), (taps, seed)
+                assert s.T == least_period_by_divisors(s.word.bits), (taps, seed)
                 lengths.add((r, s.T))
     assert (8, 255) in lengths and (8, 1) in lengths and (8, 8) in lengths
 

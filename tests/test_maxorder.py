@@ -75,7 +75,7 @@ def test_moc_known_values():
     assert moc(Word.from01("00000")).m == 0
     assert moc(Word.from01("0011")).m == 2
     assert moc(Word.from01("0001")).m == 3
-    assert moc_periodic(PeriodicSequence.from_word(Word.from01("00100100"))) == 6
+    assert moc_periodic(PeriodicSequence(Word.from01("00100100"))) == 6
 
 
 def test_moc_profile_matches_prefixes():
@@ -209,7 +209,7 @@ def test_moc_periodic_stabilizes():
     rng = random.Random(25)
     for _ in range(40):
         T = rng.randrange(1, 12)
-        s = PeriodicSequence.from_word(random_word(rng, T))
+        s = PeriodicSequence(random_word(rng, T))
         m = moc_periodic(s)
         assert m == moc(s.prefix(2 * s.T)).m
         assert m == moc(s.prefix(3 * s.T + 5)).m
@@ -220,14 +220,13 @@ def word_moc(bits):
 
 
 def assert_periodic_matches_referee(s):
-    s = s.normalized()
     assert moc_periodic(s) == moc_two_periods(s.word.bits, word_moc), s.word
 
 
 def test_moc_periodic_matches_two_period_referee_exhaustive():
     for T in range(1, 15):
         for w in all_words(T):
-            assert_periodic_matches_referee(PeriodicSequence.from_word(w))
+            assert_periodic_matches_referee(PeriodicSequence(w))
     for T in (16, 20):
         for s in _rotation_classes(T):
             assert_periodic_matches_referee(s)
@@ -264,7 +263,7 @@ def staged(monkeypatch):
         widths.clear()
         fed.clear()
         m = moc_periodic(s)
-        T = s.normalized().T
+        T = s.T
         assert widths == [min(T, 30), min(T, 60)][: len(widths)] and fed in ([], [T])
         assert not fed or len(widths) == 2
         return m, len(widths) + len(fed)
@@ -274,7 +273,7 @@ def staged(monkeypatch):
 
 def test_moc_periodic_single_one_periods_reach_each_stage(staged):
     for T, stage in ((1, 0), (2, 1), (30, 1), (31, 1), (45, 2), (60, 2), (61, 2), (200, 3)):
-        s = PeriodicSequence.from_word(Word(bytes(T - 1) + b"\x01"))
+        s = PeriodicSequence(Word(bytes(T - 1) + b"\x01"))
         assert staged(s) == (max(T - 1, 0), stage), T
         assert_periodic_matches_referee(s)
 
@@ -291,7 +290,7 @@ def test_moc_periodic_long_ties_match_referee_at_every_stage(staged):
         for i in rng.sample(range(T), rng.randrange(1, 3)):
             near[i] ^= 1
         for w in (sparse, Word(bytes(near))):
-            s = PeriodicSequence.from_word(w)
+            s = PeriodicSequence(w)
             m, stage = staged(s)
             assert m == moc_two_periods(s.word.bits, word_moc), (w, stage)
             stages.append(stage)
@@ -311,14 +310,14 @@ def test_moc_periodic_widens_only_the_tied_windows(monkeypatch):
     # A 45-symbol block twice in 250: its windows tie at 30 bits, not at 60.
     rng = random.Random(43)
     block = random_word(rng, 45).bits
-    s = PeriodicSequence.from_word(Word(block + random_word(rng, 100).bits + block + random_word(rng, 60).bits))
+    s = PeriodicSequence(Word(block + random_word(rng, 100).bits + block + random_word(rng, 60).bits))
     m = moc_periodic(s)
     assert m == moc_two_periods(s.word.bits, word_moc) and 46 <= m <= 60
     assert calls[0] == (250, 30) and calls[1][1] == 60 and 2 <= calls[1][0] <= 40 and len(calls) == 2
     # 0^(T-1)1: its T - 30 zero windows tie at 60 bits too, so the
     # automaton reads M.
     calls.clear()
-    s = PeriodicSequence.from_word(Word(bytes(199) + b"\x01"))
+    s = PeriodicSequence(Word(bytes(199) + b"\x01"))
     assert moc_periodic(s) == moc_two_periods(s.word.bits, word_moc) == 199
     assert calls == [(200, 30), (170, 60)]
 

@@ -35,7 +35,7 @@ from seqlab.measures import (
     linear_complexity_periodic,
     linear_profile,
 )
-from seqlab.seqcore import PeriodicSequence, Word, least_period, prefix_value
+from seqlab.seqcore import PeriodicSequence, Word, prefix_value
 
 
 def random_word(rng, length):
@@ -123,7 +123,7 @@ def test_linear_complexity_periodic():
     for _ in range(30):
         period = random_word(rng, rng.randrange(1, 16))
         got = linear_complexity_periodic(period)
-        s = PeriodicSequence.from_word(period)
+        s = PeriodicSequence(period)
         assert got == linear_oracle(list(s.prefix(2 * len(period))))
 
 

@@ -10,6 +10,7 @@ import seqlab.relations as relations
 from referees import (
     coset_orbit,
     coset_width,
+    least_period_by_divisors,
     lemma1_per_length,
     lowerbound_per_prefix,
     thm1_per_prefix,
@@ -50,7 +51,7 @@ from seqlab.relations import (
     verify_thm6,
 )
 from seqlab.maxorder import moc_profile
-from seqlab.seqcore import PeriodicSequence, Profile, Word, least_period
+from seqlab.seqcore import PeriodicSequence, Profile, Word
 
 
 def random_word(rng, length):
@@ -111,14 +112,39 @@ def test_verify_thm2_exhaustive_small():
     for T in range(1, 7):
         for v in range(1 << T):
             w = Word(bytes((v >> i) & 1 for i in range(T)))
-            s = least_period(w)
+            s = PeriodicSequence(w)
             if s.T != T:
                 continue
             assert verify_thm2(s).ok()
 
 
+def test_periodic_measures_read_the_least_period():
+    # A sequence built from any period word gives its least period's values:
+    # every word up to 12 bits, and (0^40 1)^k, whose windows tie past 60
+    # bits. A period trusted as least gave a wrong T or an error here.
+    words = [bytes((v >> i) & 1 for i in range(n)) for n in range(1, 13) for v in range(1 << n)]
+    words += [(bytes(40) + b"\x01") * k for k in (2, 3)]
+    repeated = 0
+    for bits in words:
+        d = least_period_by_divisors(bits)
+        s = PeriodicSequence(Word(bits))
+        assert s.T == d and s.word.bits == bits[:d], bits
+        if d == len(bits):
+            continue
+        repeated += 1
+        least = PeriodicSequence(Word(bits[:d]))
+        assert maxorder.moc_periodic(s) == maxorder.moc_periodic(least), bits
+        assert adic.connection(s) == adic.connection(least), bits
+        assert adic.phi2_symmetric(s) == adic.phi2_symmetric(least), bits
+        assert verify_thm2(s) == verify_thm2(least), bits
+        assert verify_lemma1(s) == verify_lemma1(least), bits
+    assert repeated == 160
+    s = PeriodicSequence(Word((bytes(40) + b"\x01") * 3))
+    assert (s.T, maxorder.moc_periodic(s), verify_thm2(s).evidence["T"]) == (41, 40, 41)
+
+
 def test_verify_lemma1_counterexample_period():
-    s = PeriodicSequence.from_word(Word.from01("01001"))
+    s = PeriodicSequence(Word.from01("01001"))
     rep = verify_lemma1(s)
     assert rep.ok()
     assert rep.evidence["mu_2T"] == 22
@@ -194,11 +220,11 @@ def test_thm6_mutation(monkeypatch):
 
 
 def _moc_of(bits):
-    return maxorder.moc_periodic(PeriodicSequence(Word(bytes(bits)), least=True))
+    return maxorder.moc_periodic(PeriodicSequence(Word(bytes(bits))))
 
 
 def _q_of(bits):
-    return adic.connection(PeriodicSequence(Word(bytes(bits)), least=True)).q
+    return adic.connection(PeriodicSequence(Word(bytes(bits)))).q
 
 
 def _rows(reports):
@@ -477,7 +503,7 @@ def test_lemma1_suite_reports_a_failing_word_as_verify_lemma1_does(monkeypatch):
     # Words are read without a report each; a failing word's evidence is
     # the one verify_lemma1 gives it, under the suite's instance.
     real = adic.adic_mu
-    bad = PeriodicSequence(Word.from01("0111"), least=True)
+    bad = PeriodicSequence(Word.from01("0111"))
 
     def broken(w, ns):
         mus = real(w, ns)

@@ -7,13 +7,12 @@ import random
 import pytest
 
 from referees import least_period_by_divisors
-from seqlab.errors import MalformedBitFile
+from seqlab.errors import InvalidParameter, MalformedBitFile
 from seqlab.seqcore import (
     PeriodicSequence,
     Profile,
     RationalRep,
     Word,
-    least_period,
     prefix_value,
     read_bits,
     reverse_period,
@@ -63,14 +62,24 @@ def test_word_slicing_and_equality():
 
 
 def test_least_period():
-    assert least_period(Word.from01("010101")).word.to01() == "01"
-    assert least_period(Word.from01("0110")).T == 4
-    assert least_period(Word.from01("111")).word.to01() == "1"
-    assert least_period(Word.from01("0")).T == 1
-    s = least_period(Word.from01("001001"))
-    assert s.T == 3 and s.least
-    with pytest.raises(ValueError):
-        least_period(Word.from01(""))
+    assert PeriodicSequence(Word.from01("010101")).word.to01() == "01"
+    assert PeriodicSequence(Word.from01("0110")).T == 4
+    assert PeriodicSequence(Word.from01("111")).word.to01() == "1"
+    assert PeriodicSequence(Word.from01("0")).T == 1
+    s = PeriodicSequence(Word.from01("001001"))
+    assert s.T == 3 and s.word.to01() == "001"
+    with pytest.raises(InvalidParameter):
+        PeriodicSequence(Word.from01(""))
+
+
+def test_periods_of_one_sequence_compare_and_hash_equal():
+    a, b = PeriodicSequence(Word.from01("0101")), PeriodicSequence(Word.from01("01"))
+    assert a == b and hash(a) == hash(b) and repr(a) == "PeriodicSequence(word=Word('01'))"
+    assert a != PeriodicSequence(Word.from01("10"))
+    assert PeriodicSequence(Word.from01("1"))._replace(word=Word.from01("0101")) == b
+    # A word that is its own least period is kept, not copied.
+    w = Word.from01("0110")
+    assert PeriodicSequence(w).word is w
 
 
 def test_least_period_divides_and_tiles():
@@ -79,7 +88,7 @@ def test_least_period_divides_and_tiles():
         T = rng.randrange(1, 30)
         text = "".join(rng.choice("01") for _ in range(T))
         reps = rng.randrange(1, 4)
-        s = least_period(Word.from01(text * reps))
+        s = PeriodicSequence(Word.from01(text * reps))
         assert (T * reps) % s.T == 0
         assert s.prefix(T * reps).to01() == text * reps
         # No proper divisor of the least period tiles the word.
@@ -93,32 +102,31 @@ def test_least_period_matches_divisor_referee():
     for T in range(1, 15):
         for v in range(1 << T):
             bits = bytes((v >> i) & 1 for i in range(T))
-            s = least_period(Word(bits))
+            s = PeriodicSequence(Word(bits))
             assert s.T == least_period_by_divisors(bits), bits
-            assert s.word.bits == bits[: s.T] and s.least
+            assert s.word.bits == bits[: s.T]
     rng = random.Random(13)
     for _ in range(300):
         d = rng.randrange(1, 200)
         bits = bytes(rng.getrandbits(1) for _ in range(d)) * rng.randrange(1, 40)
-        s = least_period(Word(bits))
+        s = PeriodicSequence(Word(bits))
         assert s.T == least_period_by_divisors(bits)
         assert d % s.T == 0
 
 
 def test_periodic_sequence_access():
-    s = PeriodicSequence.from_word(Word.from01("01101"))
+    s = PeriodicSequence(Word.from01("01101"))
     assert s.T == 5
     assert s.bit(0) == 0 and s.bit(6) == 1 and s.bit(12) == 1
     assert s.prefix(12).to01() == "011010110101"[:12]
-    assert s.normalized() is s
 
 
 def test_reverse_period():
-    s = least_period(Word.from01("00101"))
+    s = PeriodicSequence(Word.from01("00101"))
     r = reverse_period(s)
     assert r.word.to01() == "10100"
     assert reverse_period(r).word.to01() == s.word.to01()
-    assert r.least
+    assert r.T == least_period_by_divisors(r.word.bits)
 
 
 def test_rational_rep_phi2():

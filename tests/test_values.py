@@ -36,7 +36,7 @@ CASES = [
         "keys",
         Family({"k": "int"}),
         "Family(keys={'k': 'int'}, defaults={}, check=None, bit=<built-in function len>,"
-        " prefix=None, period=None, period_bound=None)",
+        " prefix=None, period=None)",
         False,
     ),
     (
@@ -105,10 +105,10 @@ CASES = [
         True,
     ),
     (
-        lambda: PeriodicSequence(Word.from01("011"), least=True),
+        lambda: PeriodicSequence(Word.from01("011011")),
         "word",
-        PeriodicSequence(Word.from01("011")),
-        "PeriodicSequence(word=Word('011'), least=True)",
+        PeriodicSequence(Word.from01("110")),
+        "PeriodicSequence(word=Word('011'))",
         True,
     ),
     (lambda: RationalRep(5, 31), "A", RationalRep(3, 31), "RationalRep(A=5, q=31)", True),
