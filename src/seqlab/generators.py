@@ -17,16 +17,17 @@ from .errors import (
     ZeroSeed,
 )
 from .numtheory import is_prime, multiplicative_order
-from .seqcore import PeriodicSequence, Word, read_bits
+from .seqcore import PeriodicSequence, Word, _Checked, read_bits
 
 
 # typing.NamedTuple refuses a __new__ in the class body, so a type that
-# checks or fills its fields subclasses a private tuple of them.
+# checks or fills its fields subclasses a private tuple of them, and
+# seqcore._Checked first.
 class _Poly(NamedTuple):
     coefficients: tuple[int, ...]
 
 
-class PolySpec(_Poly):
+class PolySpec(_Checked, _Poly):
     """Integer polynomial, constant coefficient first.
 
     Trailing zero coefficients are trimmed so degree is canonical; the zero
@@ -379,7 +380,7 @@ class _FamilyFields(NamedTuple):
     period: Callable[..., tuple[int, Callable[[], PeriodicSequence]]] | None
 
 
-class Family(_FamilyFields):
+class Family(_Checked, _FamilyFields):
     """One row of the family table.
 
     keys maps each parameter to the kind of its value (see _KINDS); every
@@ -468,7 +469,7 @@ class _SeqFields(NamedTuple):
     poly: PolySpec | None
 
 
-class SeqSpec(_SeqFields):
+class SeqSpec(_Checked, _SeqFields):
     """A named sequence family plus its parameters, validated on creation.
 
     params is a tuple of (key, value) pairs; values are ints, index tuples,

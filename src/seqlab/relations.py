@@ -167,31 +167,42 @@ def _lemma1_report(instance: str, T: int, q: int, mus: list[int]) -> Verificatio
 
 
 def _coset_reps(q: int):
-    """Each coset A<2> of the units mod q as its doubling orbit, walked from
-    its least member, by ascending least member. q must be odd, so that
-    doubling permutes the units and each walk below returns to its start.
+    """One coset aH of the units mod q, H = <2>, per pair {aH, -aH}, as
+    (orbit, n) by ascending least member a. orbit is [a*h % q for h in H],
+    H walked once from 1 by doubling; q must be odd, so that doubling
+    permutes the units. n = 1 when q - 1 is in H, so that -aH = aH; else
+    -aH = {q - u : u in aH} is another coset, marked with aH and not
+    yielded, and n = 2.
 
     Both sides of the coset characterization are constant on cosets (the
-    member sequences are shifts of each other), so verifying one member
-    per coset covers every coprime A.
+    member sequences are shifts of each other), and agree on aH and -aH:
+    u = v (mod 2^N) exactly when q - u = q - v (mod 2^N), so the widths are
+    equal, and the carry word of q - a is the complement of that of a, as
+    -(q - a)/q = -1 - (-a/q) and -1 - x is the bitwise complement of x,
+    which leaves M unchanged. So verifying a covers every coprime A in
+    both cosets. A pair fails only as a whole, and its lesser coset comes
+    first, so a suite stopping at its first failing coset stops at the same
+    a as a walk over every coset.
     """
     # seen[b] is 1 for the non-units, set by one slice per prime of q,
-    # and for every unit of a coset already yielded. So the first 0 byte is
-    # the least member of a new coset, and its doubling walk marks the rest.
+    # and for every unit of a pair already yielded. So the first 0 byte is
+    # the least member of a new pair.
     seen = bytearray(q)
     seen[0] = 1
     for p, _ in numtheory.factorize(q):
         seen[::p] = b"\x01" * len(range(0, q, p))
+    H = [1]
+    b = 2
+    while b != 1:
+        H.append(b)
+        b = b * 2 % q
+    n = 1 if q - 1 in H else 2
     a = seen.find(0)
     while a != -1:
-        orbit = [a]
-        seen[a] = 1
-        b = a * 2 % q
-        while b != a:
-            orbit.append(b)
-            seen[b] = 1
-            b = b * 2 % q
-        yield orbit
+        orbit = [a * h % q for h in H]
+        for u in orbit:
+            seen[u] = seen[q - u] = 1  # q - u is in aH itself when n = 1
+        yield orbit, n
         a = seen.find(0, a + 1)
 
 
@@ -203,17 +214,19 @@ def verify_thm4(q: int) -> VerificationReport:
     """Coset distinctness computes the same M as the generated sequence.
 
     Each coset is walked once: the orbit gives the width and its length
-    T = ord_q(2), the least period of the carry-register word. The walks
-    mark every unit once, so their lengths sum to phi(q).
+    T = ord_q(2), the least period of the carry-register word. A coset
+    whose negation is another coset decides both (see _coset_reps), and the
+    pair counts as two. The walks mark every unit once, so units sums to
+    phi(q).
     """
     if not 3 <= q <= THM4_Q_MAX or q % 2 == 0:
         raise BoundExceeded(f"need odd 3 <= q <= {THM4_Q_MAX}, got {q}")
     values = set()
     cosets = 0
     units = 0
-    for orbit in _coset_reps(q):
-        cosets += 1
-        units += len(orbit)
+    for orbit, n in _coset_reps(q):
+        cosets += n
+        units += n * len(orbit)
         a = orbit[0]
         from_coset = maxorder._orbit_width(orbit, q)
         from_word = maxorder.moc_periodic(_carry_period(a, q, len(orbit)))
@@ -315,13 +328,23 @@ def verify_thm6(T: int) -> VerificationReport:
     through its least word; extremal_words counts T words per class. At
     T = 8 the report also rechecks the near-extremal example with M = T - 2
     and q = 85 < 255.
+
+    M is computed only on classes without both 00 and 11 cyclically. A
+    least period w with T >= 2 holds both symbols, so 01 and 10 occur; with
+    00 and 11 too, its factor count p(2) is 4, so T >= 4. For a circular
+    least period p(n) rises strictly until it reaches T, and M is the least
+    n with p(n) = T, so p(T - 2) >= T and M <= T - 2.
     """
     row = CLAIM_SUITES["thm6"]
     if not row.minimum <= T <= row.maximum:
         raise BoundExceeded(f"need {row.minimum} <= T <= {row.maximum}, got {T}")
     full = (1 << T) - 1
     extremal = 0
-    for s in _rotation_classes(T):
+    for w in _class_words(T):
+        cyclic = w + w[:1]
+        if b"\0\0" in cyclic and b"\1\1" in cyclic:
+            continue
+        s = PeriodicSequence(Word(w))
         if maxorder.moc_periodic(s) != T - 1:
             continue
         extremal += T
@@ -399,7 +422,7 @@ def reproduce_table(which: int) -> list[VerificationReport]:
             values = sorted(
                 {
                     maxorder.moc_periodic(_carry_period(orbit[0], q, len(orbit)))
-                    for orbit in _coset_reps(q)
+                    for orbit, _ in _coset_reps(q)
                 }
             )
             evidence = {
@@ -592,7 +615,15 @@ def _least_period_words(T: int):
 
 
 def _rotation_classes(T: int):
-    """One least-period-T sequence per rotation class, by ascending phase value.
+    """One least-period-T sequence per rotation class, by ascending phase
+    value: the words of _class_words."""
+    for w in _class_words(T):
+        yield PeriodicSequence(Word(w))
+
+
+def _class_words(T: int):
+    """The period word, as bytes, of one least-period-T sequence per
+    rotation class, by ascending phase value.
 
     The phase value v (bit i is symbol i) of a class's representative is
     less than the value of every proper rotation; read from symbol T - 1
@@ -611,7 +642,7 @@ def _rotation_classes(T: int):
         a[-1] += 1
         m = len(a)
         if m == T:
-            yield PeriodicSequence(Word(a[::-1]))
+            yield bytes(a[::-1])
         while len(a) < T:
             a.append(a[-m])
         while a and a[-1] == 1:
@@ -722,16 +753,16 @@ class ClaimSuite(NamedTuple):
     maximum: int | None = None
 
 
-# Every claim, each declared once, in report order. thm2 and thm6 evaluate
-# one word per rotation class, about 2^T/T per T: 2.0 s and 1.6 s at their
-# cap T = 20. lemma1 visits every word, so each step of T doubles it: 6 s
-# at its cap 16. lowerbound reads mu only where M rises, 18 times per
-# family up to 10^6: 0.014 s at --nmax 8000, 0.06 s at 32000 and 6.7 s at
-# its cap 10^6, within a scan's 7 to 9 s there. The caps keep one run to
-# seconds. The suites without a flag take 0.15 s (thm4) or less. All are
-# medians of five runs on a 2-core container. The least bound is the
-# smallest with a meaning: below it an exhaustive suite would run on no
-# words and pass.
+# Every claim, each declared once, in report order. thm2 evaluates one word
+# per rotation class, about 2^T/T per T, and thm6 only the classes without
+# both 00 and 11: 1.2 s and 0.23 s at their cap T = 20. lemma1 visits every
+# word, so each step of T doubles it: 6 s at its cap 16. lowerbound reads
+# mu only where M rises, 18 times per family up to 10^6: 0.014 s at --nmax
+# 8000, 0.06 s at 32000 and 6.7 s at its cap 10^6, within a scan's 7 to 9 s
+# there. The caps keep one run to seconds. The suites without a flag take
+# 0.10 s (thm4) or less. All are medians of five runs on a 2-core
+# container. The least bound is the smallest with a meaning: below it an
+# exhaustive suite would run on no words and pass.
 CLAIM_SUITES = {
     "cor1": ClaimSuite(cor1_suite),
     "lemma1": ClaimSuite(lemma1_suite, "--exhaustive-T", 8, 1, 16),

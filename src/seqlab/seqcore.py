@@ -81,12 +81,24 @@ def prefix_value(w: Word, n: int | None = None) -> int:
 
 
 # typing.NamedTuple refuses a __new__ in the class body, so a type that
-# checks or fills its fields subclasses a private tuple of them.
+# checks or fills its fields subclasses a private tuple of them, and
+# _Checked first.
+class _Checked:
+    """A _make that calls the constructor: namedtuple's _make, which
+    _replace calls, skips __new__ and so its checks."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 class _Period(NamedTuple):
     word: Word
 
 
-class PeriodicSequence(_Period):
+class PeriodicSequence(_Checked, _Period):
     """An infinite periodic binary sequence, held as its least period.
 
     Built from any nonempty period word w, it keeps the least d >= 1 whose
@@ -106,11 +118,6 @@ class PeriodicSequence(_Period):
             raise InvalidParameter("empty word has no period")
         d = (data + data).find(data, 1)
         return super().__new__(cls, word if d == len(data) else word[:d])
-
-    @classmethod
-    def _make(cls, iterable) -> "PeriodicSequence":
-        # namedtuple's _make, which _replace calls, skips __new__
-        return cls(*iterable)
 
     @property
     def T(self) -> int:
@@ -135,7 +142,7 @@ class _Rational(NamedTuple):
     q: int
 
 
-class RationalRep(_Rational):
+class RationalRep(_Checked, _Rational):
     """Reduced connection pair (A, q): the sequence value equals -A/q 2-adically.
 
     q is odd and positive, 0 <= A <= q, gcd(A, q) = 1. A = 0 encodes the zero

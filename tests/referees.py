@@ -330,6 +330,48 @@ def coset_width(a: int, q: int) -> int:
     raise AssertionError("unreachable: orbit elements are distinct below q")
 
 
+def thm4_per_coset(q_max: int, width, moc) -> list[tuple]:
+    """The thm4 suite over every coset of every odd q <= q_max, negated
+    cosets included: one row (claim_id, instance, status, evidence) per q,
+    stopping a q at its first coset, by ascending least member a, whose
+    width differs from M. width maps (orbit, q) to the orbit's width and
+    moc maps (a, q, T) to M of the carry word of a."""
+    rows = []
+    for q in range(3, q_max + 1, 2):
+        seen = [math.gcd(b, q) != 1 for b in range(q)]
+        values = set()
+        cosets = units = 0
+        failed = None
+        for a in range(1, q):
+            if seen[a]:
+                continue
+            orbit = [a]
+            b = a * 2 % q
+            while b != a:
+                orbit.append(b)
+                b = b * 2 % q
+            for u in orbit:
+                seen[u] = True
+            cosets += 1
+            units += len(orbit)
+            from_coset, from_word = width(orbit, q), moc(a, q, len(orbit))
+            if from_coset != from_word:
+                evidence = {"q": q, "A": a, "from_coset": from_coset, "from_word": from_word}
+                failed = ("thm4", f"q={q}", "fail", evidence)
+                break
+            values.add(from_coset)
+        rows.append(
+            failed
+            or (
+                "thm4",
+                f"q={q}",
+                "pass",
+                {"q": q, "T": len(orbit), "units": units, "cosets": cosets, "value_set": sorted(values)},
+            )
+        )
+    return rows
+
+
 def moc_two_periods(period, word_moc) -> int:
     """M of the periodic sequence with this least period (a sequence of
     bits), read as word_moc, a callable from bytes to M, on the first

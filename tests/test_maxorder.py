@@ -234,8 +234,9 @@ def test_moc_periodic_matches_two_period_referee_exhaustive():
 
 def test_moc_periodic_matches_two_period_referee_on_family_periods():
     for q in range(3, 1001, 2):
-        for orbit in _coset_reps(q):
-            assert_periodic_matches_referee(fcsr_word(orbit[0], q))
+        for orbit, n in _coset_reps(q):
+            for a in (orbit[0], q - orbit[0])[:n]:
+                assert_periodic_matches_referee(fcsr_word(a, q))
     for p in (1009, 5483, 20011):
         assert_periodic_matches_referee(legendre_period(p, IDENTITY))
     s = lfsr_period(PRIMITIVE_TAPS[14], (1,) + (0,) * 13)
@@ -333,8 +334,8 @@ def test_moc_periodic_benchmark_families_never_reach_the_automaton(staged):
     periods.append(legendre_period(20011, IDENTITY))
     moduli = ell_moduli(2999) + [q for q, *_ in relations.TABLE1_EXPECTED]
     periods += [fcsr_word(1, q) for q in moduli]
-    periods += [fcsr_word(o[0], q) for q in range(3, 1001, 2) for o in _coset_reps(q)]
-    periods += [fcsr_word(o[0], q) for q, *_ in relations.TABLE2_EXPECTED for o in _coset_reps(q)]
+    periods += [fcsr_word(o[0], q) for q in range(3, 1001, 2) for o, _ in _coset_reps(q)]
+    periods += [fcsr_word(o[0], q) for q, *_ in relations.TABLE2_EXPECTED for o, _ in _coset_reps(q)]
     periods.append(lfsr_period(PRIMITIVE_TAPS[14], (1,) + (0,) * 13))
     stages = [staged(s)[1] for s in periods]
     assert set(stages) <= {1, 2} and 2 in stages

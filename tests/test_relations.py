@@ -2,12 +2,14 @@
 
 import hashlib
 import math
+import os
 import random
 
 import pytest
 
 import seqlab.relations as relations
 from referees import (
+    carry_register_bits,
     coset_orbit,
     coset_width,
     least_period_by_divisors,
@@ -15,6 +17,7 @@ from referees import (
     lowerbound_per_prefix,
     thm1_per_prefix,
     thm2_per_word,
+    thm4_per_coset,
     thm6_per_word,
 )
 from seqlab import adic, cli, generators, maxorder, numtheory
@@ -161,13 +164,62 @@ def test_verify_thm4_and_thm5():
 
 
 def test_coset_reps_are_the_least_member_of_each_coset():
+    # one coset per negated pair, the lesser one, standing for both
     for q in list(range(3, 258, 2)) + [511, 997, 999]:
         least = {min(coset_orbit(a, q)) for a in range(1, q) if math.gcd(a, q) == 1}
-        orbits = list(relations._coset_reps(q))
-        assert [orbit[0] for orbit in orbits] == sorted(least), q
-        for orbit in orbits:
+        reps = list(relations._coset_reps(q))
+        n = 1 if q - 1 in coset_orbit(1, q) else 2
+        assert {k for _, k in reps} == {n}, q
+        firsts = [orbit[0] for orbit, _ in reps]
+        partners = [min(q - u for u in orbit) for orbit, _ in reps]
+        assert firsts == sorted(firsts), q
+        if n == 1:
+            assert partners == firsts and set(firsts) == least, q
+        else:
+            assert all(a < b for a, b in zip(firsts, partners)), q
+            assert sorted(firsts + partners) == sorted(least), q
+        for orbit, _ in reps:
             assert orbit == [orbit[0] * pow(2, k, q) % q for k in range(len(orbit))], q
             assert set(orbit) == coset_orbit(orbit[0], q), q
+
+
+def _carry_moc(a, q, T):
+    return maxorder.moc_periodic(PeriodicSequence(Word(bytes(carry_register_bits(a, q, T)))))
+
+
+def test_negated_cosets_agree_on_both_sides_of_thm4():
+    # The identities the paired walk rests on, on every coset of every odd
+    # q <= 1000, each one aH or -aH of a walked orbit: the carry word of
+    # q - a is the complement of that of a, and the negated orbit has the
+    # same width and M.
+    flip = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+    for q in range(3, 1001, 2):
+        for orbit, _ in relations._coset_reps(q):
+            a, T = orbit[0], len(orbit)
+            word = generators._fcsr_prefix(a, q, T).bits
+            negated = generators._fcsr_prefix(q - a, q, T).bits
+            assert negated == word.translate(flip), (q, a)
+            width = maxorder._orbit_width(orbit, q)
+            assert maxorder._orbit_width([q - u for u in orbit], q) == width, (q, a)
+            m = maxorder.moc_periodic(PeriodicSequence(Word(word)))
+            assert maxorder.moc_periodic(PeriodicSequence(Word(negated))) == m, (q, a)
+
+
+def test_thm4_suite_matches_per_coset_referee():
+    assert _rows(thm4_suite(1000)) == thm4_per_coset(1000, maxorder._orbit_width, _carry_moc)
+
+
+def test_thm4_suite_fails_on_the_per_coset_referee_coset(monkeypatch):
+    # A fault constant on negated pairs: M + 1 on the carry words with M = 4
+    # and q = 127, whose cosets with least members 5 and 7 have width 4.
+    real = maxorder.moc_periodic
+    monkeypatch.setattr(
+        maxorder, "moc_periodic", lambda s: real(s) + (real(s) == 4 and adic.connection(s).q == 127)
+    )
+    rows = _rows(thm4_suite(151))
+    assert rows == thm4_per_coset(151, maxorder._orbit_width, _carry_moc)
+    assert [r[1] for r in rows if r[2] == "fail"] == ["q=127"]
+    assert rows[62][3] == {"q": 127, "A": 5, "from_coset": 4, "from_word": 5}
 
 
 def test_thm4_walks_each_coset_once(monkeypatch):
@@ -178,7 +230,7 @@ def test_thm4_walks_each_coset_once(monkeypatch):
         assert rep.evidence["T"] == numtheory.multiplicative_order(2, q), q
         assert rep.evidence["units"] == numtheory.euler_phi(q), q
     for q in (9, 51, 63, 217, 341, 999):
-        for orbit in relations._coset_reps(q):
+        for orbit, _ in relations._coset_reps(q):
             assert maxorder._orbit_width(orbit, q) == coset_width(orbit[0], q)
             assert maxorder.moc_from_coset(orbit[0], q) == coset_width(orbit[0], q)
     for name in ("multiplicative_order", "euler_phi"):
@@ -233,7 +285,20 @@ def _rows(reports):
 
 def test_periodic_suites_match_per_word_referee():
     assert _rows(thm2_suite(12)) == thm2_per_word(12, _moc_of, _q_of)
-    assert _rows(thm6_suite(12)) == thm6_per_word(12, _moc_of, _q_of)
+    assert _rows(thm6_suite(14)) == thm6_per_word(14, _moc_of, _q_of)
+
+
+def test_extremal_classes_never_hold_both_00_and_11():
+    # verify_thm6 computes M only on classes without both 00 and 11
+    # cyclically: M <= T - 2 on the others. Checked to T = 20 in long mode.
+    for T in range(2, (21 if os.environ.get("SEQLAB_LONG") == "1" else 17)):
+        both = 0
+        for s in relations._rotation_classes(T):
+            cyclic = s.word.bits + s.word.bits[:1]
+            if b"\0\0" in cyclic and b"\1\1" in cyclic:
+                both += 1
+                assert maxorder.moc_periodic(s) <= T - 2, s
+        assert (both > 0) == (T >= 4), T
 
 
 def test_periodic_suites_fail_on_the_per_word_referee_word(monkeypatch):

@@ -136,6 +136,46 @@ def test_value_type_contract(build, name, other, text, hashable):
     assert getattr(a, name) == old and a == b
 
 
+# (value, field changes): _replace on each value type whose class has its
+# own __new__, to a value the constructor changes or refuses
+REPLACEMENTS = [
+    (PeriodicSequence(Word.from01("011")), {"word": Word.from01("0101")}),
+    (PeriodicSequence(Word.from01("011")), {"word": Word(b"")}),
+    (RationalRep(3, 31), {"q": 9}),
+    (RationalRep(1, 3), {"q": 4}),
+    (RationalRep(3, 31), {"A": 5}),
+    (PolySpec((1, 2)), {"coefficients": (1, 0, 0)}),
+    (PolySpec((1, 2)), {"coefficients": ()}),
+    (Family({"k": "int"}), {"keys": None}),
+    (SeqSpec("ell", (("q", 31), ("A", 5))), {"params": (("q", 31), ("A", 3))}),
+    (SeqSpec("ell", (("q", 31), ("A", 5))), {"params": (("q", 9), ("A", 3))}),
+    (SeqSpec("ell", (("q", 31), ("A", 5))), {"family": "nonesuch"}),
+    (SeqSpec("thue-morse"), {"poly": PolySpec((0, 0, 1))}),
+]
+
+
+@pytest.mark.parametrize("value, changes", REPLACEMENTS, ids=[f"{type(v).__name__}-{c}" for v, c in REPLACEMENTS])
+def test_replace_returns_what_the_constructor_returns(value, changes):
+    fields = {**value._asdict(), **changes}
+    try:
+        want = type(value)(**fields)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as got:
+            value._replace(**changes)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+    else:
+        got = value._replace(**changes)
+        assert type(got) is type(want) and got == want and repr(got) == repr(want)
+
+
+def test_replace_cases_cover_every_checking_value_type():
+    # NamedTuple defines __new__ and _fields on the class it makes; a
+    # subclass that checks or fills its fields defines only __new__
+    types = {type(build()) for build, *_ in CASES}
+    checking = {t for t in types if "__new__" in vars(t) and "_fields" not in vars(t)}
+    assert checking == {type(value) for value, _ in REPLACEMENTS}
+
+
 def test_family_rows_do_not_share_their_dicts():
     one, two = Family(), Family()
     assert one.keys == two.keys == {} and one.keys is not two.keys
