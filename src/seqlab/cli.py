@@ -42,10 +42,18 @@ MAX_ANALYZE_BITS = 32_000
 # whose 60-bit windows tie still grows the automaton over its first T + M
 # bits (at most 2T - 1), after the sort of its 30-bit windows and that of
 # the 60-bit windows of those that tie: 0^(T-1)1 at T = 10^6 (read from a
-# file) takes 4.7 s and 312 MB peak (median of three runs). The family's
-# period bound (p, ord_q(2), 2^r - 1, a file's bit count) is checked before
-# the period is built, by periodic and by a scan that reads a period.
+# file) takes 4.8 s and 247 MB peak (median of three fresh processes). The
+# family's period bound (p, ord_q(2), 2^r - 1, a file's bit count) is
+# checked before the period is built, by periodic and by a scan that reads
+# a period.
 MAX_PERIOD = 1_000_000
+# The degree of a spec's polynomial (@poly= and legendre's f=), checked
+# while the spec is parsed: each bit evaluates the polynomial on integers
+# of about degree * log2(N) bits, so its cost grows faster than the degree.
+# Thue-Morse along n^64 takes 8.9 s to MAX_BITS (median of three runs,
+# 2-core container); Zeckendorf's greedy expansion costs more per bit, 12 s
+# along n^64 at 10^5.
+MAX_POLY_DEGREE = 64
 
 # ---------------------------------------------------------------------------
 # sequence spec grammar: NAME(:key=value(,key=value)*)?(@poly=EXPR)?
@@ -59,7 +67,8 @@ def _is_digits(s: str) -> bool:
 
 
 def parse_poly(text: str, pos: int = 0, end: int | None = None) -> PolySpec:
-    """Univariate integer polynomial in n, e.g. "n^2" or "n^3+2*n".
+    """Univariate integer polynomial in n, e.g. "n^2" or "n^3+2*n", of
+    degree at most MAX_POLY_DEGREE.
 
     Parses text[pos:end]; a ParseError carries the whole text and the
     position of the fault in it, so a polynomial inside a spec string is
@@ -99,7 +108,12 @@ def parse_poly(text: str, pos: int = 0, end: int | None = None) -> PolySpec:
                     j += 1
                 if j == i:
                     raise ParseError(text, i, "expected exponent digits")
-                exp = int(text[i:j])
+                # Compared by its digit count first: a long run of digits
+                # is refused before int() converts it.
+                digits = text[i:j].lstrip("0") or "0"
+                if len(digits) > len(str(MAX_POLY_DEGREE)) or int(digits) > MAX_POLY_DEGREE:
+                    raise BoundExceeded(f"polynomial degree at position {i} exceeds its maximum {MAX_POLY_DEGREE}")
+                exp = int(digits)
                 i = j
         if coeff is None and exp == 0:
             raise ParseError(text, start, "expected a term")
@@ -339,8 +353,17 @@ def _scan_text(report: relations.ScanReport, fmt: str) -> str:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise InvalidParameter, so main
+    reports them as it does every other error: one line and exit 2. Its
+    sub-parsers are of this class too; --help is unchanged."""
+
+    def error(self, message):
+        raise InvalidParameter(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="seqlab",
         description="complexity measures, sequence families and claim verifiers",
     )
@@ -367,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, seq=True)
 
     p = sub.add_parser("verify", help="run a claim verifier suite")
-    p.add_argument("claim", choices=tuple(sorted(relations.CLAIMS)) + ("all",))
+    p.add_argument("claim", choices=tuple(sorted(relations.CLAIM_SUITES)) + ("all",))
     p.add_argument("--exhaustive-T", dest="exhaustive_t", type=int, help=_flag_help("--exhaustive-T", "period bound"))
     p.add_argument("--nmax", type=int, help=_flag_help("--nmax", "length bound"))
     add_common(p)

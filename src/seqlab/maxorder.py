@@ -1,10 +1,11 @@
 """Maximum-order complexity: the shortest window length whose successor map
 is single-valued over the word, read from one suffix automaton while it
-grows. The running value gives the per-prefix profile; the finished
-automaton gives the value with a two-occurrence witness. A periodic
-sequence is read from its sorted cyclic windows instead, with the
-automaton kept for the periods whose windows tie even at 60 bits. Plus the
-number-theoretic shortcuts for carry-register sequences."""
+grows. The running value gives the per-prefix profile, and the first
+prefix that reaches the final value gives the leftmost conflict as a
+two-occurrence witness. A periodic sequence is read from its sorted cyclic
+windows instead, with the automaton kept for the periods whose windows tie
+even at 60 bits. Plus the number-theoretic shortcuts for carry-register
+sequences."""
 
 from __future__ import annotations
 
@@ -27,8 +28,9 @@ from .seqcore import PeriodicSequence, Profile, Word
 
 
 class MocWitness(NamedTuple):
-    """A maximal conflict: equal windows of the given length starting at i < j
-    whose successor symbols differ."""
+    """The leftmost maximal conflict: equal windows of length M - 1
+    starting at i < j whose successor symbols differ, j the least start of
+    such a window and i the first occurrence of the window at j."""
 
     i: int
     j: int
@@ -40,121 +42,100 @@ class MocResult(NamedTuple):
     witness: MocWitness | None
 
 
-class _Sam:
-    """Suffix automaton over the binary alphabet, with the running
-    maximum-order complexity of the prefix fed so far.
+def _running_moc(bits: bytes, period: int | None = None) -> list[int]:
+    """M of each prefix of bits, read from one suffix automaton over the
+    binary alphabet grown symbol by symbol.
 
-    end[state] is the first position where the state's strings end (a clone
-    inherits it from the state it splits), which is all the witness readout
-    needs.
+    M is 1 plus the longest string followed by both symbols, and such a
+    string is the longest string of its state. A state gains its second
+    transition only in the first suffix-link walk, and from then on its
+    strings are followed by both symbols, so that is where the running M
+    takes max(M, length + 1). A clone copies both transitions only from a
+    state already counted with a longer length, so it never raises M.
+
+    With a period T, stop before symbol n once n >= T + M(n), M(n) the
+    value of the first n symbols; the list then ends at that prefix, whose
+    M is the sequence's. A prefix of length T + M(n) holds every cyclic
+    window of length M(n) + 1, their successor map is single-valued since
+    the first n symbols hold them all, and M never decreases with the
+    prefix length. The stop comes by 2T - 1, as M <= T - 1.
     """
-
-    __slots__ = ("next0", "next1", "link", "length", "end", "m")
-
-    def __init__(self):
-        self.next0 = [-1]
-        self.next1 = [-1]
-        self.link = [-1]
-        self.length = [0]
-        self.end = [-1]
-        self.m = 0
-
-    def feed(self, bits: bytes, period: int | None = None) -> list[int]:
-        """Append the symbols of bits (to an automaton fed nothing yet) and
-        return M of each prefix.
-
-        M is 1 plus the longest string followed by both symbols, and such a
-        string is the longest string of its state. A state gains its second
-        transition only in the first suffix-link walk, and from then on its
-        strings are followed by both symbols, so that is where the running
-        M takes max(M, length + 1). A clone copies both transitions only
-        from a state already counted with a longer length, so it never
-        raises M.
-
-        With a period T, stop before symbol n once n >= T + M(n), M(n) the
-        value of the first n symbols; the list then ends at that prefix,
-        whose M is the sequence's. A prefix of length T + M(n) holds every
-        cyclic window of length M(n) + 1, their successor map is
-        single-valued since the first n symbols hold them all, and M never
-        decreases with the prefix length. The stop comes by 2T - 1, as
-        M <= T - 1.
-        """
-        # One loop with the lists in locals: this runs once per symbol of
-        # every word.
-        next0, next1, link, length, end = self.next0, self.next1, self.link, self.length, self.end
-        last = m = 0
-        stop = len(bits) if period is None else period
-        out = []
-        for pos, c in enumerate(bits):
-            if pos >= stop:
-                break
-            if c:
-                nxt, other = next1, next0
-            else:
-                nxt, other = next0, next1
-            p = last
-            cur = last = len(length)
-            next0.append(-1)
-            next1.append(-1)
-            link.append(0)
-            length.append(length[p] + 1)
-            end.append(pos)
-            while p != -1 and nxt[p] == -1:
-                nxt[p] = cur
-                if other[p] != -1 and length[p] >= m:
-                    m = length[p] + 1
-                    if period is not None:
-                        stop = period + m
-                p = link[p]
-            out.append(m)
-            if p == -1:
-                continue
-            q = nxt[p]
-            if length[p] + 1 == length[q]:
-                link[cur] = q
-                continue
-            clone = len(length)
-            next0.append(next0[q])
-            next1.append(next1[q])
-            link.append(link[q])
-            length.append(length[p] + 1)
-            end.append(end[q])
-            link[q] = link[cur] = clone
-            while p != -1 and nxt[p] == q:
-                nxt[p] = clone
-                p = link[p]
-        self.m = m
-        return out
+    # One loop with the lists in locals: this runs once per symbol of
+    # every word.
+    next0, next1, link, length = [-1], [-1], [-1], [0]
+    last = m = 0
+    stop = len(bits) if period is None else period
+    out = []
+    for pos, c in enumerate(bits):
+        if pos >= stop:
+            break
+        if c:
+            nxt, other = next1, next0
+        else:
+            nxt, other = next0, next1
+        p = last
+        cur = last = len(length)
+        next0.append(-1)
+        next1.append(-1)
+        link.append(0)
+        length.append(length[p] + 1)
+        while p != -1 and nxt[p] == -1:
+            nxt[p] = cur
+            if other[p] != -1 and length[p] >= m:
+                m = length[p] + 1
+                if period is not None:
+                    stop = period + m
+            p = link[p]
+        out.append(m)
+        if p == -1:
+            continue
+        q = nxt[p]
+        if length[p] + 1 == length[q]:
+            link[cur] = q
+            continue
+        clone = len(length)
+        next0.append(next0[q])
+        next1.append(next1[q])
+        link.append(link[q])
+        length.append(length[p] + 1)
+        link[q] = link[cur] = clone
+        while p != -1 and nxt[p] == q:
+            nxt[p] = clone
+            p = link[p]
+    return out
 
 
 def moc(w: Word) -> MocResult:
-    """Maximum-order complexity of a word, with a maximal conflict witness.
+    """Maximum-order complexity of a word, with its leftmost conflict as
+    the witness, the one moc_oracle gives.
 
     m is the least window length whose window -> successor map is single
     valued; equivalently 1 plus the longest string that occurs followed by
     both symbols. Constant words (and the empty word) give 0.
+
+    The witness is read from the profile. Let n be the first length whose
+    M is the final m, and j = n - m: the window of m - 1 symbols at j is
+    followed by symbol n - 1, the last of that prefix. No window of m - 1
+    symbols conflicts before j, or M would reach m at a shorter prefix, so
+    every occurrence of the window at j before it is followed by the same
+    symbol. Windows of m - 1 symbols do conflict in the first n symbols,
+    where M is m, and the window at j is the only one new there, so it is
+    followed by the other symbol. So j is the least conflicting start, and
+    i = bits.find(window) is its first occurrence, which conflicts with it.
     """
-    sam = _Sam()
-    sam.feed(w.bits)
-    if sam.m == 0:
+    bits = w.bits
+    profile = _running_moc(bits)
+    m = profile[-1] if profile else 0
+    if m == 0:
         return MocResult(0, None)
-    next0, next1, length = sam.next0, sam.next1, sam.length
-    best = sam.m - 1
-    # The first right-branching state of the longest branching length.
-    best_state = next(
-        p for p in range(len(length)) if length[p] == best and next0[p] != -1 and next1[p] != -1
-    )
-    # The longest branching string ends where its children's occurrences end.
-    e0 = sam.end[next0[best_state]]
-    e1 = sam.end[next1[best_state]]
-    i0, i1 = e0 - best, e1 - best
-    return MocResult(best + 1, MocWitness(min(i0, i1), max(i0, i1), best))
+    j = profile.index(m) + 1 - m
+    return MocResult(m, MocWitness(bits.find(bits[j : j + m - 1]), j, m - 1))
 
 
 def moc_profile(w: Word) -> Profile:
     """Per-prefix maximum-order complexity: the running M of one automaton
     fed w, so linear in len(w)."""
-    return Profile(tuple(_Sam().feed(w.bits)))
+    return Profile(tuple(_running_moc(w.bits)))
 
 
 def moc_oracle(w: Word) -> MocResult:
@@ -312,16 +293,14 @@ def moc_periodic(s: PeriodicSequence) -> int:
     On a tie the tied windows, those equal to a sorted neighbour, widen
     once to min(T, 60) bits from the same list and are sorted again, and a
     period that still ties is fed to the automaton, which stops after its
-    first T + M symbols (_Sam.feed).
+    first T + M symbols (_running_moc).
     """
     if s.T == 1:
         return 0
     m = _windows_moc(s.word.bits)
     if m is not None:
         return m
-    sam = _Sam()
-    sam.feed(s.prefix(2 * s.T - 1).bits, s.T)
-    return sam.m
+    return _running_moc(s.prefix(2 * s.T - 1).bits, s.T)[-1]
 
 
 # Window width of moc_periodic's first pass: one CPython digit, so each

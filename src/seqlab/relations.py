@@ -776,29 +776,25 @@ CLAIM_SUITES = {
     "thm6": ClaimSuite(thm6_suite, "--exhaustive-T", 12, 2, 20),
 }
 
-# Claim id -> suite. run_claim calls every suite through this dict, so one
-# entry swaps a suite everywhere.
-CLAIMS = {claim: row.suite for claim, row in CLAIM_SUITES.items()}
-
 
 def run_claim(claim: str, bound: int | None = None) -> list[VerificationReport]:
     """One claim's suite at bound, or at its default; the least bound and
     the cap are checked before the suite starts."""
     row = CLAIM_SUITES[claim]
     if row.flag is None:
-        return CLAIMS[claim]()
+        return row.suite()
     bound = row.default if bound is None else bound
     if row.minimum is not None and bound < row.minimum:
         raise InvalidParameter(f"{claim}: {row.flag} {bound} is below its minimum {row.minimum}")
     if row.maximum is not None and bound > row.maximum:
         raise BoundExceeded(f"{claim}: {row.flag} {bound} exceeds its maximum {row.maximum}")
-    return CLAIMS[claim](bound)
+    return row.suite(bound)
 
 
 def run_all() -> list[VerificationReport]:
     """Every registered claim suite at its default, in claim-id order."""
     reports = []
-    for claim in sorted(CLAIMS):
+    for claim in sorted(CLAIM_SUITES):
         reports.extend(run_claim(claim))
     return reports
 

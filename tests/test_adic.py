@@ -5,6 +5,7 @@ against the exhaustive oracle and against the referee that Lagrange-reduces
 and enumerates; adic_profile's carried basis against the referee pushed bit
 by bit; periodic connections."""
 
+import functools
 import math
 import random
 
@@ -132,6 +133,19 @@ def pushed_pairs(w):
     return out
 
 
+@functools.cache
+def twelve_bit_referees():
+    """Each word of length 12 with its pushed-lattice pairs at every prefix
+    and the oracle's pair at each length n whose prefix it is the first to
+    show (v < 2^n), so the oracle sees every word up to 12 bits once. Both
+    exhaustive tests read this one computation."""
+    out = []
+    for v, w in enumerate(all_words(12)):
+        oracle = {n: adic_oracle(w, n) for n in range(1, 13) if v < 1 << n}
+        out.append((w, pushed_pairs(w), oracle))
+    return out
+
+
 def referee_pair(s, n):
     return ApproxPair(*Lattice.euclid(s, n).minimize())
 
@@ -148,12 +162,11 @@ def test_euclid_matches_pushed_lattice_exhaustive():
     # The prefixes of the words of length 12 are all words up to length
     # 12; the oracle sees each once, as the prefix of its zero extension.
     ns = list(range(1, 13))
-    for v, w in enumerate(all_words(12)):
+    for w, pushed, oracle in twelve_bit_referees():
         pairs = adic_minima(w, ns)
-        assert pairs == pushed_pairs(w), w.to01()
-        for n in ns:
-            if v < 1 << n:
-                assert pairs[n - 1] == adic_oracle(w, n), (w.to01(), n)
+        assert pairs == pushed, w.to01()
+        for n, ref in oracle.items():
+            assert pairs[n - 1] == ref, (w.to01(), n)
 
 
 def test_euclid_matches_pushed_lattice_random_long():
@@ -596,12 +609,11 @@ def test_adic_profile_matches_min():
 
 def test_adic_profile_matches_pushed_lattice_exhaustive():
     # Every prefix of every word of length 12 covers all words up to 12.
-    for v, w in enumerate(all_words(12)):
+    for w, pushed, oracle in twelve_bit_referees():
         prof = adic_profile(w)
-        assert list(prof) == [p.mu for p in pushed_pairs(w)], w.to01()
-        for n in range(1, 13):
-            if v < 1 << n:
-                assert prof.at(n) == adic_oracle(w, n).mu, (w.to01(), n)
+        assert list(prof) == [p.mu for p in pushed], w.to01()
+        for n, ref in oracle.items():
+            assert prof.at(n) == ref.mu, (w.to01(), n)
 
 
 def test_adic_profile_matches_pushed_lattice_random_long():

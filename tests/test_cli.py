@@ -22,7 +22,7 @@ import seqlab.generators as generators
 import seqlab.relations as relations
 from seqlab.adic import adic_min
 from seqlab.cli import main, parse_poly, parse_seqspec
-from seqlab.errors import InvalidParameter, MissingParameter, ParseError
+from seqlab.errors import BoundExceeded, InvalidParameter, MissingParameter, ParseError
 from seqlab.generators import FAMILIES, PolySpec, SeqSpec, fcsr_bit
 from seqlab.maxorder import moc_profile
 from seqlab.measures import linear_profile
@@ -60,6 +60,44 @@ def test_parse_poly_errors():
         parse_poly("n^")
     except ParseError as exc:
         assert exc.pos == 2
+
+
+def test_parse_poly_degree_cap():
+    cap = cli.MAX_POLY_DEGREE
+    assert parse_poly(f"n^{cap}+1").degree == cap
+    assert parse_poly("n^" + "0" * 50 + str(cap)) == parse_poly(f"n^{cap}")
+    # A million-digit exponent is refused by its length: int() on it would
+    # raise ValueError at the default limit on int-to-decimal conversions.
+    for text in (f"n^{cap + 1}", f"n+n^{cap + 1}", "n^32000", "n^" + "9" * 10**6):
+        with pytest.raises(BoundExceeded):
+            parse_poly(text)
+
+
+def test_over_degree_specs_exit_2_before_any_work():
+    cap = cli.MAX_POLY_DEGREE
+    cases = (
+        ["generate", "--seq", "thue-morse@poly=n^32000", "--n", "200"],
+        ["generate", "--seq", "zero@poly=n^100000000", "--n", "1"],
+        ["analyze", "--seq", f"pattern:k=3@poly=n^{cap + 1}", "--nmax", "8"],
+        ["periodic", "--seq", f"legendre:p=7,f=n^{cap + 1}"],
+    )
+    for args in cases:
+        start = time.perf_counter()
+        code, out, err = run(args)
+        assert time.perf_counter() - start < 2, args
+        assert (code, out) == (2, ""), args
+        assert err.startswith("error:") and err.count("\n") == 1 and "maximum" in err, args
+    code, out, _ = run(["generate", "--seq", f"thue-morse@poly=n^{cap}", "--n", "8"])
+    assert code == 0 and len(out.strip()) == 8
+
+
+def test_usage_errors_are_one_line():
+    for args in (["tables", "--which", "3"], ["scan", "--seq", "zero"], ["analyze", "--nmax", "abc"], ["verify", "nosuch"]):
+        code, out, err = run(args)
+        assert (code, out) == (2, ""), args
+        assert err.startswith("error:") and err.count("\n") == 1, args
+    code, out, err = run(["tables", "--help"])
+    assert (code, err) == (0, "") and out.startswith("usage: seqlab tables")
 
 
 def test_parse_seqspec_families():
@@ -611,7 +649,8 @@ def test_verify_exit_codes(monkeypatch):
     assert out.count("thm2,exhaustive T=") == 6
 
     bad = [VerificationReport("lemma3", "k_max=30", "fail", {"hits": [3]})]
-    monkeypatch.setitem(relations.CLAIMS, "lemma3", lambda: bad)
+    row = relations.CLAIM_SUITES["lemma3"]
+    monkeypatch.setitem(relations.CLAIM_SUITES, "lemma3", row._replace(suite=lambda: bad))
     code, out, _ = run(["verify", "lemma3"])
     assert code == 1
     assert "fail" in out
@@ -639,7 +678,8 @@ def test_verify_bounds_above_maximum_exit_before_running(monkeypatch):
         ("lowerbound", "--nmax", 1_000_001),
     )
     for claim, flag, bound in cases:
-        monkeypatch.setitem(relations.CLAIMS, claim, never)
+        row = relations.CLAIM_SUITES[claim]
+        monkeypatch.setitem(relations.CLAIM_SUITES, claim, row._replace(suite=never))
         code, out, err = run(["verify", claim, flag, str(bound)])
         assert code == 2 and out == "", claim
         assert err.startswith("error:") and "maximum" in err, claim
@@ -658,7 +698,8 @@ def test_verify_bounds_below_minimum_exit_before_running(monkeypatch):
         ("lemma1", 0),
     )
     for claim, bound in cases:
-        monkeypatch.setitem(relations.CLAIMS, claim, never)
+        row = relations.CLAIM_SUITES[claim]
+        monkeypatch.setitem(relations.CLAIM_SUITES, claim, row._replace(suite=never))
         code, out, err = run(["verify", claim, "--exhaustive-T", str(bound)])
         assert code == 2 and out == "" and err.count("\n") == 1, (claim, bound)
         assert err.startswith("error:") and "minimum" in err, (claim, bound)

@@ -12,6 +12,8 @@ from seqlab.config import oracle_bound
 from seqlab.errors import NotEllModulus, OracleBoundExceeded
 from seqlab.generators import IDENTITY, fcsr_word, legendre_period, lfsr_period
 from seqlab.maxorder import (
+    MocResult,
+    MocWitness,
     _orbit,
     coset,
     ell_moduli,
@@ -38,16 +40,17 @@ def random_word(rng, length):
 
 
 def test_moc_matches_oracle_exhaustive():
+    # The whole result: the value and the leftmost conflict as the witness.
     for length in range(0, 11):
         for w in all_words(length):
-            assert moc(w).m == moc_oracle(w).m, w.to01()
+            assert moc(w) == moc_oracle(w), w.to01()
 
 
 def test_moc_matches_oracle_random():
     rng = random.Random(20)
     for _ in range(300):
         w = random_word(rng, rng.randrange(1, 200))
-        assert moc(w).m == moc_oracle(w).m, w.to01()
+        assert moc(w) == moc_oracle(w), w.to01()
 
 
 def test_moc_witness_is_valid():
@@ -75,6 +78,9 @@ def test_moc_known_values():
     assert moc(Word.from01("00000")).m == 0
     assert moc(Word.from01("0011")).m == 2
     assert moc(Word.from01("0001")).m == 3
+    # The leftmost conflict: the 1 at j = 2, followed by 0, is the first
+    # window to repeat one with another successor, the 1 at i = 1.
+    assert moc(Word.from01("01100")) == MocResult(2, MocWitness(1, 2, 1))
     assert moc_periodic(PeriodicSequence(Word.from01("00100100"))) == 6
 
 
@@ -252,13 +258,8 @@ def staged(monkeypatch):
     widths, fed = [], []
     lcp = maxorder._longest_common_prefix
     monkeypatch.setattr(maxorder, "_longest_common_prefix", lambda ws, k: widths.append(k) or lcp(ws, k))
-
-    class CountingSam(maxorder._Sam):
-        def feed(self, bits, period=None):
-            fed.append(period)
-            return super().feed(bits, period)
-
-    monkeypatch.setattr(maxorder, "_Sam", CountingSam)
+    running = maxorder._running_moc
+    monkeypatch.setattr(maxorder, "_running_moc", lambda bits, period=None: fed.append(period) or running(bits, period))
 
     def run(s):
         widths.clear()

@@ -47,6 +47,7 @@ def test_readme_caps_table_matches_the_code():
         ("--nmax", "analyze"): ("none", str(cli.MAX_ANALYZE_BITS)),
         ("--seq period", "periodic"): ("none", str(cli.MAX_PERIOD)),
         ("--seq period", "scan"): ("none", str(cli.MAX_PERIOD)),
+        ("--seq degree", "every --seq verb"): ("none", str(cli.MAX_POLY_DEGREE)),
     }
     # A new cap in cli.py needs a row above.
     assert {name for name in vars(cli) if name.startswith("MAX_")} == {
@@ -54,4 +55,5 @@ def test_readme_caps_table_matches_the_code():
         "MAX_GRID_POINTS",
         "MAX_ANALYZE_BITS",
         "MAX_PERIOD",
+        "MAX_POLY_DEGREE",
     }

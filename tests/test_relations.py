@@ -28,7 +28,6 @@ from seqlab.generators import SeqSpec, PolySpec, fcsr_word, legendre_period, IDE
 from seqlab.maxorder import moc
 from seqlab.relations import (
     CLAIM_SUITES,
-    CLAIMS,
     conjecture_scan,
     cor1_suite,
     grid_points,
@@ -419,7 +418,7 @@ def test_suite_instances_are_labeled():
 
 
 def test_claims_registry_covers_run_all():
-    assert sorted(CLAIMS) == [
+    assert sorted(CLAIM_SUITES) == [
         "cor1",
         "lemma1",
         "lemma3",
@@ -433,12 +432,11 @@ def test_claims_registry_covers_run_all():
     ]
     reports = run_all()
     seen = {r.claim_id for r in reports}
-    assert seen == set(CLAIMS)
+    assert seen == set(CLAIM_SUITES)
     assert all(r.status in ("pass", "skipped") for r in reports)
 
 
 def test_claim_table_drives_registry_and_caps(monkeypatch):
-    assert set(CLAIM_SUITES) == set(CLAIMS)
     sized = {c: (r.flag, r.default, r.maximum) for c, r in CLAIM_SUITES.items() if r.flag}
     assert sized == {
         "lemma1": ("--exhaustive-T", 8, 16),
@@ -447,7 +445,7 @@ def test_claim_table_drives_registry_and_caps(monkeypatch):
         "thm6": ("--exhaustive-T", 12, 20),
     }
     calls = []
-    monkeypatch.setitem(CLAIMS, "thm2", lambda t: calls.append(t) or [])
+    monkeypatch.setitem(CLAIM_SUITES, "thm2", CLAIM_SUITES["thm2"]._replace(suite=lambda t: calls.append(t) or []))
     run_claim("thm2")
     run_claim("thm2", 20)
     assert calls == [10, 20]
